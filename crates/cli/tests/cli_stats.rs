@@ -13,8 +13,11 @@ use rtp_cli::serve::{ServeOptions, ServeResponse, StatsReply};
 #[test]
 fn stats_request_reports_latency_percentiles_errors_and_pool_hit_rate() {
     let (dataset, model) = trained_model(171);
-    // 2 queries + 1 bad line + 1 stats request = 4 replies
-    let opts = ServeOptions { max_requests: 4, ..Default::default() };
+    // 2 queries + 1 bad line + 1 stats request = 4 replies. One worker:
+    // the pool-reuse check below needs both queries on the same tape,
+    // and with more workers the idle one parked in `recv` usually takes
+    // the second query onto its own cold tape.
+    let opts = ServeOptions { max_requests: 4, workers: 1, ..Default::default() };
     let server = start_server(model, dataset.clone(), opts);
 
     let mut client = Client::connect(&server.addr);

@@ -470,11 +470,16 @@ mod tests {
 
     #[test]
     fn json_roundtrip() {
-        let d = DatasetBuilder::new(DatasetConfig::tiny(9)).build();
-        let s = d.to_json().unwrap();
-        let d2 = Dataset::from_json(&s).unwrap();
-        assert_eq!(d.train.len(), d2.train.len());
-        assert_eq!(d.city.aois.len(), d2.city.aois.len());
+        for cfg in [DatasetConfig::tiny(9), DatasetConfig::quick(1)] {
+            let s = DatasetBuilder::new(cfg).build().to_json().unwrap();
+            let back = Dataset::from_json(&s).unwrap().to_json().unwrap();
+            assert!(
+                back == s,
+                "re-serialised dataset differs ({} vs {} bytes)",
+                back.len(),
+                s.len()
+            );
+        }
     }
 
     #[test]
