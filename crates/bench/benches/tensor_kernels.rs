@@ -6,7 +6,9 @@
 //! 1. **Kernel sweep** — square-matmul GFLOP-rate of the blocked,
 //!    B-packed forward kernel vs the naive reference, both backward
 //!    accumulation kernels, and the fast (FMA) and quantized (i8)
-//!    inference tiers, at n ∈ {16, 32, 64, 128, 256}.
+//!    inference tiers, at n ∈ {16, 32, 64, 128, 256}; then the
+//!    forward kernel vs the naive reference at the `[r,k]×[k,c]`
+//!    shapes the model runs (see [`MODEL_SHAPES`]).
 //! 2. **Tape reuse** — forward+backward throughput of a small MLP-like
 //!    program on a fresh `Tape::new()` per iteration vs one pooled
 //!    tape reset with `Tape::clear()`, and the pool hit rate showing
@@ -113,6 +115,48 @@ fn kernel_sweep() -> Vec<KernelRow> {
         .collect()
 }
 
+/// The `(r, k, c)` products the model runs per query: decoder-step
+/// LSTM/attention products (1×48×192, 1×57×192, 1×65×192), the GAT-e
+/// edge update z·W3 (86×48×12) and an encoder projection (9×48×48).
+const MODEL_SHAPES: [(usize, usize, usize); 5] =
+    [(1, 48, 192), (1, 57, 192), (1, 65, 192), (86, 48, 12), (9, 48, 48)];
+
+struct ShapeRow {
+    r: usize,
+    k: usize,
+    c: usize,
+    naive_gflops: f64,
+    blocked_gflops: f64,
+}
+
+fn model_shape_sweep() -> Vec<ShapeRow> {
+    MODEL_SHAPES
+        .iter()
+        .map(|&(r, k, c)| {
+            let mut a = vec![0.0f32; r * k];
+            let mut b = vec![0.0f32; k * c];
+            let mut out = vec![0.0f32; r * c];
+            fill(&mut a, 3 + r as u32);
+            fill(&mut b, 4 + c as u32);
+            let flops = 2.0 * (r * k * c) as f64;
+            let naive = time_per_call(|| kernels::matmul_naive(&a, &b, &mut out, r, k, c));
+            let blocked = time_per_call(|| kernels::matmul(&a, &b, &mut out, r, k, c));
+            let row = ShapeRow {
+                r,
+                k,
+                c,
+                naive_gflops: flops / naive / 1e9,
+                blocked_gflops: flops / blocked / 1e9,
+            };
+            println!(
+                "r{r}_k{k}_c{c}: naive {:>6.2} GF/s  blocked {:>6.2} GF/s",
+                row.naive_gflops, row.blocked_gflops
+            );
+            row
+        })
+        .collect()
+}
+
 /// Runs a batch of real predictions on a fresh inference tape and
 /// returns the `tensor.*` counter deltas from the global registry as
 /// formatted JSON lines. This is the per-op profile: calls, flops and
@@ -211,6 +255,8 @@ fn tape_reuse() -> ReuseResult {
 fn main() {
     println!("== matmul kernel sweep ==");
     let rows = kernel_sweep();
+    println!("== matmul at model shapes ==");
+    let shapes = model_shape_sweep();
     println!("== tape reuse ==");
     let reuse = tape_reuse();
     println!("== op profile ==");
@@ -226,10 +272,20 @@ fn main() {
             )
         })
         .collect();
+    let shape_entries: Vec<String> = shapes
+        .iter()
+        .map(|s| {
+            format!(
+                "    {{\"shape\": \"r{}_k{}_c{}\", \"naive_gflops\": {:.3}, \"blocked_gflops\": {:.3}}}",
+                s.r, s.k, s.c, s.naive_gflops, s.blocked_gflops
+            )
+        })
+        .collect();
     let json = format!(
-        "{{\n  \"bench\": \"tensor_kernels\",\n  \"bench_meta\": {},\n  \"matmul_sweep\": [\n{}\n  ],\n  \"tape_reuse\": {{\n    \"fresh_passes_per_sec\": {:.1},\n    \"reused_passes_per_sec\": {:.1},\n    \"speedup\": {:.3},\n    \"pool_hits\": {},\n    \"pool_misses\": {},\n    \"pool_hit_rate\": {:.4}\n  }},\n  \"op_profile\": {{\n    \"queries\": {profile_queries},\n{}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"tensor_kernels\",\n  \"bench_meta\": {},\n  \"matmul_sweep\": [\n{}\n  ],\n  \"matmul_model_shapes\": [\n{}\n  ],\n  \"tape_reuse\": {{\n    \"fresh_passes_per_sec\": {:.1},\n    \"reused_passes_per_sec\": {:.1},\n    \"speedup\": {:.3},\n    \"pool_hits\": {},\n    \"pool_misses\": {},\n    \"pool_hit_rate\": {:.4}\n  }},\n  \"op_profile\": {{\n    \"queries\": {profile_queries},\n{}\n  }}\n}}\n",
         bench_meta_json(),
         entries.join(",\n"),
+        shape_entries.join(",\n"),
         reuse.fresh_passes_per_sec,
         reuse.reused_passes_per_sec,
         reuse.speedup,

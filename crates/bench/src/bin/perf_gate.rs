@@ -92,6 +92,15 @@ fn extract_metrics(bench: &str, v: &Value) -> BTreeMap<String, f64> {
                     }
                 }
             }
+            for row in v.get("matmul_model_shapes").and_then(Value::as_array).unwrap_or_default() {
+                if let Some(shape) = row.get("shape").and_then(Value::as_str) {
+                    for key in ["naive_gflops", "blocked_gflops"] {
+                        if let Some(x) = get_num(row, key) {
+                            m.insert(format!("matmul.{shape}.{key}"), x);
+                        }
+                    }
+                }
+            }
             if let Some(reuse) = v.get("tape_reuse") {
                 for key in ["fresh_passes_per_sec", "reused_passes_per_sec"] {
                     if let Some(x) = get_num(reuse, key) {

@@ -3,9 +3,15 @@
 //! Three kernels cover the forward product and both backward
 //! accumulations of `C = A @ B`:
 //!
-//! * [`matmul`] — `out = A @ B` (overwrite), B packed into column
-//!   panels with a register-tile accumulator; full-width panels run
-//!   the AVX2 body in [`crate::simd`] when the CPU has it.
+//! * [`matmul`] — `out = A @ B` (overwrite) in 16-column panels with
+//!   a 4-row register tile, run by the AVX2 body in [`crate::simd`]
+//!   when the CPU has it. With four or more rows, each panel of B is
+//!   packed contiguously once and shared by every row. Below the
+//!   4-row tile (the model's `[1,k]×[k,c]` decoder steps) no row
+//!   would share a pack, so full panels read B in place with its own
+//!   row stride. An edge panel narrower than 16 columns is packed
+//!   zero-padded to 16 lanes and runs the same fixed-width tile into
+//!   a scratch tile, of which only the real lanes are copied out.
 //! * [`matmul_grad_a`] — `gA += G @ Bᵀ`. B is transposed once per call
 //!   into a `[c,k]` scratch so each `g != 0` term becomes a contiguous
 //!   saxpy into a per-row accumulator — the same memory shape as the
@@ -21,9 +27,10 @@
 //! its `*_naive` reference (single left-to-right accumulator over the
 //! contraction index; same zero-skip conditions). Blocking, packing
 //! and AVX2 lanes only reorder *independent* elements, never the
-//! summands of one element, so results are bit-identical to the
-//! reference — which is what keeps `tests/determinism.rs` meaningful
-//! and is enforced by the `kernel_props` proptests.
+//! summands of one element (the zero-padded edge lanes are separate
+//! elements that are never copied out), so results are bit-identical
+//! to the reference — which is what keeps `tests/determinism.rs`
+//! meaningful and is enforced by the `kernel_props` proptests.
 //!
 //! The `*_naive` references are kept `pub` on purpose: the equivalence
 //! proptests and the `tensor_kernels` bench both compare against them.
@@ -32,15 +39,16 @@ use crate::simd;
 use std::cell::RefCell;
 
 /// Column-tile width of the forward kernel's register accumulator.
-/// 16 f32 = four SSE / two AVX registers; edge tiles take a slower
-/// variable-width path.
+/// 16 f32 = four SSE / two AVX registers; a narrower edge panel is
+/// zero-padded to this width.
 const NR: usize = 16;
 
 thread_local! {
-    /// Per-thread scratch for the packed B panel (`k × NR` floats).
-    /// Thread-local keeps the kernel allocation-free after warm-up
-    /// without threading a scratch buffer through every call site.
-    static PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread scratch: the packed B panel (`k × NR`) and the edge
+    /// panel's `r × NR` output tile. Thread-local keeps the kernel
+    /// allocation-free after warm-up without threading a scratch buffer
+    /// through every call site.
+    static PACK: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 /// Reference forward product `out = A @ B` (`A [r,k]`, `B [k,c]`,
@@ -90,88 +98,135 @@ pub fn matmul(a: &[f32], b: &[f32], out: &mut [f32], r: usize, k: usize, c: usiz
         }
         return;
     }
-    PACK.with(|p| {
-        let mut pack = p.borrow_mut();
+    PACK.with(|s| {
+        let (pack, tile) = &mut *s.borrow_mut();
         let mut jb = 0;
         while jb < c {
             let nr = NR.min(c - jb);
-            // Pack the B column panel [k × nr] contiguously; reused by
-            // every row of A, so the pack cost amortises over r.
-            pack.clear();
-            pack.reserve(k * nr);
-            for kk in 0..k {
-                pack.extend_from_slice(&b[kk * c + jb..kk * c + jb + nr]);
-            }
-            if nr == NR {
-                #[cfg(target_arch = "x86_64")]
-                if simd::have_avx2() {
-                    // SAFETY: AVX2 just checked; pack is k×NR and the
-                    // out/a bounds hold by the matmul contract.
-                    unsafe { simd::fwd_panel_avx2(a, &pack, out, r, k, c, jb) };
-                    jb += nr;
-                    continue;
+            if nr == NR && r < 4 {
+                // Fewer rows than the register tile: no row would share
+                // a packed panel, so read B's rows where they lie.
+                panel(a, &b[jb..], c, out, r, k, c, jb);
+            } else if nr == NR {
+                // Pack the B column panel [k × NR] contiguously; reused
+                // by every row of A, so the pack cost amortises over r.
+                pack.clear();
+                pack.reserve(k * NR);
+                for kk in 0..k {
+                    pack.extend_from_slice(&b[kk * c + jb..kk * c + jb + NR]);
                 }
-                // 4×NR register tile: four rows of A share each packed-B
-                // load, giving eight independent vector accumulators so
-                // the FMA latency chains overlap. Each row's acc is still
-                // a single left-to-right sum over kk — bit-identical to
-                // the reference.
-                let mut i = 0;
-                while i + 4 <= r {
-                    let a0 = &a[i * k..(i + 1) * k];
-                    let a1 = &a[(i + 1) * k..(i + 2) * k];
-                    let a2 = &a[(i + 2) * k..(i + 3) * k];
-                    let a3 = &a[(i + 3) * k..(i + 4) * k];
-                    let mut c0 = [0.0f32; NR];
-                    let mut c1 = [0.0f32; NR];
-                    let mut c2 = [0.0f32; NR];
-                    let mut c3 = [0.0f32; NR];
-                    for kk in 0..k {
-                        let bp: &[f32; NR] =
-                            pack[kk * NR..(kk + 1) * NR].try_into().expect("panel tile");
-                        let (v0, v1, v2, v3) = (a0[kk], a1[kk], a2[kk], a3[kk]);
-                        for j in 0..NR {
-                            c0[j] += v0 * bp[j];
-                            c1[j] += v1 * bp[j];
-                            c2[j] += v2 * bp[j];
-                            c3[j] += v3 * bp[j];
-                        }
-                    }
-                    out[i * c + jb..i * c + jb + NR].copy_from_slice(&c0);
-                    out[(i + 1) * c + jb..(i + 1) * c + jb + NR].copy_from_slice(&c1);
-                    out[(i + 2) * c + jb..(i + 2) * c + jb + NR].copy_from_slice(&c2);
-                    out[(i + 3) * c + jb..(i + 3) * c + jb + NR].copy_from_slice(&c3);
-                    i += 4;
-                }
-                while i < r {
-                    let arow = &a[i * k..(i + 1) * k];
-                    let mut acc = [0.0f32; NR];
-                    for (kk, &av) in arow.iter().enumerate() {
-                        let bp: &[f32; NR] =
-                            pack[kk * NR..(kk + 1) * NR].try_into().expect("panel tile");
-                        for (ac, &bv) in acc.iter_mut().zip(bp) {
-                            *ac += av * bv;
-                        }
-                    }
-                    out[i * c + jb..i * c + jb + NR].copy_from_slice(&acc);
-                    i += 1;
-                }
+                panel(a, pack, NR, out, r, k, c, jb);
             } else {
+                // Edge panel: pack it zero-padded to NR lanes so it runs
+                // the same fixed-width tile, into a scratch tile of
+                // which only the nr real lanes are copied out.
+                pack.clear();
+                for kk in 0..k {
+                    pack.extend_from_slice(&b[kk * c + jb..kk * c + jb + nr]);
+                    pack.resize((kk + 1) * NR, 0.0);
+                }
+                tile.clear();
+                tile.resize(r * NR, 0.0);
+                panel(a, pack, NR, tile, r, k, NR, 0);
                 for i in 0..r {
-                    let arow = &a[i * k..(i + 1) * k];
-                    let mut acc = [0.0f32; NR];
-                    for (kk, &av) in arow.iter().enumerate() {
-                        let bp = &pack[kk * nr..(kk + 1) * nr];
-                        for (ac, &bv) in acc.iter_mut().zip(bp) {
-                            *ac += av * bv;
-                        }
-                    }
-                    out[i * c + jb..i * c + jb + nr].copy_from_slice(&acc[..nr]);
+                    out[i * c + jb..(i + 1) * c].copy_from_slice(&tile[i * NR..i * NR + nr]);
                 }
             }
             jb += nr;
         }
     });
+}
+
+/// One NR-wide column panel of the forward product:
+/// `out[i*ldc + jb ..][..NR] = Σ_kk a[i][kk] * b[kk*ldb ..][..NR]`,
+/// where `b` starts at the panel's first column and `ldb` is its row
+/// stride (`NR` for a packed panel, `c` when reading B in place).
+///
+/// Four rows of A share each B load in a 4×NR register tile, giving
+/// eight independent vector accumulators so the add latency chains
+/// overlap. Each row's accumulator is still a single left-to-right sum
+/// over `kk` — bit-identical to the reference.
+#[allow(clippy::too_many_arguments)]
+fn panel(
+    a: &[f32],
+    b: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+    r: usize,
+    k: usize,
+    ldc: usize,
+    jb: usize,
+) {
+    // The AVX2 body reads and writes through raw pointers, so these
+    // bounds are checked in release builds too.
+    assert!(
+        r >= 1
+            && a.len() >= r * k
+            && b.len() >= (k - 1) * ldb + NR
+            && out.len() >= (r - 1) * ldc + jb + NR,
+        "matmul panel out of bounds"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if simd::have_avx2() {
+        // SAFETY: AVX2 just checked, and the assert above is the
+        // kernel's bounds contract.
+        unsafe { simd::fwd_panel_avx2(a, b, ldb, out, r, k, ldc, jb) };
+        return;
+    }
+    panel_scalar(a, b, ldb, out, r, k, ldc, jb);
+}
+
+/// Portable body of [`panel`], with the same per-element op sequence
+/// as the AVX2 one.
+#[allow(clippy::too_many_arguments)]
+fn panel_scalar(
+    a: &[f32],
+    b: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+    r: usize,
+    k: usize,
+    ldc: usize,
+    jb: usize,
+) {
+    let mut i = 0;
+    while i + 4 <= r {
+        let a0 = &a[i * k..(i + 1) * k];
+        let a1 = &a[(i + 1) * k..(i + 2) * k];
+        let a2 = &a[(i + 2) * k..(i + 3) * k];
+        let a3 = &a[(i + 3) * k..(i + 4) * k];
+        let mut c0 = [0.0f32; NR];
+        let mut c1 = [0.0f32; NR];
+        let mut c2 = [0.0f32; NR];
+        let mut c3 = [0.0f32; NR];
+        for kk in 0..k {
+            let bp: &[f32; NR] = b[kk * ldb..kk * ldb + NR].try_into().expect("panel tile");
+            let (v0, v1, v2, v3) = (a0[kk], a1[kk], a2[kk], a3[kk]);
+            for j in 0..NR {
+                c0[j] += v0 * bp[j];
+                c1[j] += v1 * bp[j];
+                c2[j] += v2 * bp[j];
+                c3[j] += v3 * bp[j];
+            }
+        }
+        out[i * ldc + jb..i * ldc + jb + NR].copy_from_slice(&c0);
+        out[(i + 1) * ldc + jb..(i + 1) * ldc + jb + NR].copy_from_slice(&c1);
+        out[(i + 2) * ldc + jb..(i + 2) * ldc + jb + NR].copy_from_slice(&c2);
+        out[(i + 3) * ldc + jb..(i + 3) * ldc + jb + NR].copy_from_slice(&c3);
+        i += 4;
+    }
+    while i < r {
+        let arow = &a[i * k..(i + 1) * k];
+        let mut acc = [0.0f32; NR];
+        for (kk, &av) in arow.iter().enumerate() {
+            let bp = &b[kk * ldb..kk * ldb + NR];
+            for (ac, &bv) in acc.iter_mut().zip(bp) {
+                *ac += av * bv;
+            }
+        }
+        out[i * ldc + jb..i * ldc + jb + NR].copy_from_slice(&acc);
+        i += 1;
+    }
 }
 
 /// Fast-tier forward product `out = A @ B` (overwrite): FMA
@@ -348,9 +403,16 @@ mod tests {
 
     #[test]
     fn blocked_forward_matches_naive_bitwise() {
-        for &(r, k, c) in
-            &[(1, 1, 1), (3, 5, 7), (16, 16, 16), (17, 33, 19), (2, 64, 1), (40, 24, 48)]
-        {
+        for &(r, k, c) in &[
+            (1, 1, 1),
+            (3, 5, 7),
+            (16, 16, 16),
+            (17, 33, 19),
+            (2, 64, 1),
+            (40, 24, 48),
+            (1, 48, 192),
+            (86, 48, 12),
+        ] {
             let a = fill(r * k, 1 + r as u32);
             let b = fill(k * c, 2 + c as u32);
             let mut out1 = vec![f32::NAN; r * c];
@@ -358,6 +420,29 @@ mod tests {
             matmul_naive(&a, &b, &mut out1, r, k, c);
             matmul(&a, &b, &mut out2, r, k, c);
             assert_eq!(bits(&out1), bits(&out2), "forward mismatch at ({r},{k},{c})");
+        }
+    }
+
+    /// The portable panel body behind the AVX2 one, over both operand
+    /// layouts `matmul` feeds it: B read in place (`ldb = c`) and a
+    /// packed panel (`ldb = NR`).
+    #[test]
+    fn scalar_panel_matches_naive_bitwise() {
+        for &(r, k, c) in &[(1, 48, 32), (3, 7, 16), (5, 9, 48), (9, 48, 16)] {
+            let a = fill(r * k, 8 + r as u32);
+            let b = fill(k * c, 9 + c as u32);
+            let mut want = vec![f32::NAN; r * c];
+            matmul_naive(&a, &b, &mut want, r, k, c);
+            let mut direct = vec![f32::NAN; r * c];
+            let mut packed = vec![f32::NAN; r * c];
+            for jb in (0..c).step_by(NR) {
+                panel_scalar(&a, &b[jb..], c, &mut direct, r, k, c, jb);
+                let pack: Vec<f32> =
+                    (0..k).flat_map(|kk| b[kk * c + jb..kk * c + jb + NR].to_vec()).collect();
+                panel_scalar(&a, &pack, NR, &mut packed, r, k, c, jb);
+            }
+            assert_eq!(bits(&want), bits(&direct), "direct panel mismatch at ({r},{k},{c})");
+            assert_eq!(bits(&want), bits(&packed), "packed panel mismatch at ({r},{k},{c})");
         }
     }
 

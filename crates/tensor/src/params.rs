@@ -5,8 +5,18 @@
 //! store by `Tape::backward`, which makes multi-sample (mini-batch)
 //! gradient accumulation trivial: run several tapes, then step once.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Source of [`ParamStore`] stamps. Process-wide, so no two stores —
+/// and no two value states of one store — ever share a stamp.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+fn next_stamp() -> u64 {
+    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Handle to a parameter inside a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,17 +43,32 @@ struct ParamEntry {
 ///
 /// `Clone` is cheap relative to training cost and gives data-parallel
 /// trainers a private copy per worker whose gradients are merged back.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ParamStore {
     entries: Vec<ParamEntry>,
     rng: StdRng,
+    /// Identity of the store's current values: fresh on construction
+    /// and on `clone`, bumped by every method that writes values.
+    /// [`crate::Tape::param`] reuses a lease only while it matches.
+    stamp: u64,
+}
+
+impl Clone for ParamStore {
+    fn clone(&self) -> Self {
+        Self { entries: self.entries.clone(), rng: self.rng.clone(), stamp: next_stamp() }
+    }
 }
 
 impl ParamStore {
     /// Creates an empty store whose initialisers draw from a deterministic
     /// RNG seeded with `seed` (reproducible experiments).
     pub fn new(seed: u64) -> Self {
-        Self { entries: Vec::new(), rng: StdRng::seed_from_u64(seed) }
+        Self { entries: Vec::new(), rng: StdRng::seed_from_u64(seed), stamp: next_stamp() }
+    }
+
+    /// The stamp of the store's current values (see the field docs).
+    pub(crate) fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// Registers a parameter with explicit initial values.
@@ -52,6 +77,7 @@ impl ParamStore {
     /// Panics if `data.len() != rows * cols`.
     pub fn add_param(&mut self, name: &str, rows: usize, cols: usize, data: Vec<f32>) -> ParamId {
         assert_eq!(data.len(), rows * cols, "param `{name}` data length mismatch");
+        self.stamp = next_stamp();
         let id = ParamId(self.entries.len() as u32);
         self.entries.push(ParamEntry {
             name: name.to_string(),
@@ -116,6 +142,7 @@ impl ParamStore {
 
     /// Mutable view of a parameter's values (used by optimizers and tests).
     pub fn data_mut(&mut self, id: ParamId) -> &mut [f32] {
+        self.stamp = next_stamp();
         &mut self.entries[id.index()].data
     }
 
@@ -222,6 +249,7 @@ impl ParamStore {
     /// Panics if the snapshot does not match the store's layout.
     pub fn restore(&mut self, snapshot: &[Vec<f32>]) {
         assert_eq!(snapshot.len(), self.entries.len(), "snapshot layout mismatch");
+        self.stamp = next_stamp();
         for (e, s) in self.entries.iter_mut().zip(snapshot) {
             assert_eq!(e.data.len(), s.len(), "snapshot tensor size mismatch for `{}`", e.name);
             e.data.copy_from_slice(s);

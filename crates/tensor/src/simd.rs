@@ -143,19 +143,24 @@ unsafe fn axpy_avx2(dst: &mut [f32], x: &[f32], s: f32) {
     }
 }
 
-/// Bit-exact AVX2 body for one packed B column panel of the forward
-/// matmul: `out[i][jb..jb+16] = Σ_kk a[i][kk] * pack[kk][0..16]`, the
+/// Bit-exact AVX2 body for one 16-column panel of the forward matmul:
+/// `out[i*c + jb..][..16] = Σ_kk a[i][kk] * b[kk*ldb..][..16]`, the
 /// same 4-row register tile as the scalar blocked kernel with each
-/// accumulator update done as mul-then-add.
+/// accumulator update done as mul-then-add. `b` starts at the panel's
+/// first column; `ldb` is its row stride — 16 for a packed panel, the
+/// matrix width when B is read in place. `c` is the row stride of
+/// `out` and `jb` the panel's first column in it.
 ///
 /// # Safety
-/// Caller must ensure AVX2 is available, `pack.len() == k * 16`,
+/// Caller must ensure AVX2 is available, `b.len() >= (k-1) * ldb + 16`,
 /// `a.len() >= r * k`, `out.len() >= (r-1) * c + jb + 16`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
 pub unsafe fn fwd_panel_avx2(
     a: &[f32],
-    pack: &[f32],
+    b: &[f32],
+    ldb: usize,
     out: &mut [f32],
     r: usize,
     k: usize,
@@ -163,9 +168,9 @@ pub unsafe fn fwd_panel_avx2(
     jb: usize,
 ) {
     use std::arch::x86_64::*;
-    debug_assert!(pack.len() >= k * 16);
+    debug_assert!(k == 0 || b.len() >= (k - 1) * ldb + 16);
     let ap = a.as_ptr();
-    let pp = pack.as_ptr();
+    let pp = b.as_ptr();
     let op = out.as_mut_ptr();
     let mut i = 0;
     while i + 4 <= r {
@@ -174,8 +179,8 @@ pub unsafe fn fwd_panel_avx2(
         let (mut c2l, mut c2h) = (_mm256_setzero_ps(), _mm256_setzero_ps());
         let (mut c3l, mut c3h) = (_mm256_setzero_ps(), _mm256_setzero_ps());
         for kk in 0..k {
-            let bl = _mm256_loadu_ps(pp.add(kk * 16));
-            let bh = _mm256_loadu_ps(pp.add(kk * 16 + 8));
+            let bl = _mm256_loadu_ps(pp.add(kk * ldb));
+            let bh = _mm256_loadu_ps(pp.add(kk * ldb + 8));
             let v0 = _mm256_set1_ps(*ap.add(i * k + kk));
             let v1 = _mm256_set1_ps(*ap.add((i + 1) * k + kk));
             let v2 = _mm256_set1_ps(*ap.add((i + 2) * k + kk));
@@ -202,8 +207,8 @@ pub unsafe fn fwd_panel_avx2(
     while i < r {
         let (mut cl, mut ch) = (_mm256_setzero_ps(), _mm256_setzero_ps());
         for kk in 0..k {
-            let bl = _mm256_loadu_ps(pp.add(kk * 16));
-            let bh = _mm256_loadu_ps(pp.add(kk * 16 + 8));
+            let bl = _mm256_loadu_ps(pp.add(kk * ldb));
+            let bh = _mm256_loadu_ps(pp.add(kk * ldb + 8));
             let v = _mm256_set1_ps(*ap.add(i * k + kk));
             cl = _mm256_add_ps(cl, _mm256_mul_ps(v, bl));
             ch = _mm256_add_ps(ch, _mm256_mul_ps(v, bh));
@@ -332,7 +337,8 @@ pub unsafe fn dot_fast_avx2fma(a: &[f32], b: &[f32]) -> f32 {
 /// Fast-tier panel body: [`fwd_panel_avx2`] with `fmadd` contraction.
 ///
 /// # Safety
-/// Same contract as [`fwd_panel_avx2`], plus FMA availability.
+/// Same contract as [`fwd_panel_avx2`] with `ldb = 16` (a packed
+/// panel), plus FMA availability.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn fwd_panel_fma(

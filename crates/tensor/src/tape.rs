@@ -21,6 +21,13 @@
 //! in steady state. [`Tape::inference`] builds a no-grad tape that
 //! skips gradient allocation and op-payload recording entirely;
 //! [`Tape::backward`] on such a tape panics.
+//!
+//! A parameter is copied onto the tape once per pass: the first
+//! [`Tape::param`] lease copies its values into a buffer, and every
+//! repeat lease of the same parameter (an LSTM step, a decoder step)
+//! is a view of that buffer with its own node and gradient. The lease
+//! map is keyed on the store's stamp, which changes whenever the
+//! store's values do, and is emptied by [`Tape::clear`].
 
 use std::sync::Arc;
 
@@ -158,6 +165,11 @@ pub struct Tape {
     numerics: Numerics,
     /// Quantized parameter snapshots for [`Numerics::Quantized`].
     quant: Option<Arc<QuantSet>>,
+    /// Buffer of each parameter's first lease this pass, indexed by
+    /// `ParamId` (see [`Tape::param`]).
+    leases: Vec<Option<u32>>,
+    /// [`ParamStore::stamp`] of the store `leases` was filled from.
+    lease_stamp: u64,
 }
 
 impl Default for Tape {
@@ -178,6 +190,8 @@ impl Tape {
             pool_misses: 0,
             numerics: Numerics::Exact,
             quant: None,
+            leases: Vec::new(),
+            lease_stamp: 0,
         }
     }
 
@@ -260,6 +274,7 @@ impl Tape {
     /// buffers are dropped first; the warm tail keeps its capacities.
     pub fn clear(&mut self) {
         self.nodes.clear();
+        self.leases.clear();
         let used = self.bufs.len() + self.grads.len();
         self.pool.append(&mut self.bufs);
         self.pool.append(&mut self.grads);
@@ -382,8 +397,26 @@ impl Tape {
     /// Leases a parameter from `store` onto this tape. Gradients flowing
     /// into the returned tensor are accumulated back into the store by
     /// [`Tape::backward`].
+    ///
+    /// Only the first lease of `id` in a pass copies its values; a
+    /// repeat lease is a view of that buffer. Every lease is its own
+    /// `Param` node, so backward accumulates each one's gradient into
+    /// the store exactly as if it had been copied. A store whose stamp
+    /// differs from the one the leases came from (another store, or
+    /// this one after a write) flushes the map first.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> TensorId {
         let (rows, cols) = store.shape(id);
+        if self.lease_stamp != store.stamp() {
+            self.leases.clear();
+            self.lease_stamp = store.stamp();
+        }
+        if let Some(&Some(buf)) = self.leases.get(id.index()) {
+            return self.push_view(rows, cols, buf, Op::Param(id));
+        }
+        if self.leases.len() <= id.index() {
+            self.leases.resize(id.index() + 1, None);
+        }
+        self.leases[id.index()] = Some(self.bufs.len() as u32);
         let mut out = self.alloc();
         out.extend_from_slice(store.data(id));
         self.push(rows, cols, out, Op::Param(id))
@@ -1668,6 +1701,105 @@ mod tests {
         assert_eq!(train.scalar(lt).to_bits(), inf.scalar(li).to_bits());
         assert!(inf.grads.is_empty(), "no-grad tape must not allocate gradient buffers");
         assert!(!inf.is_grad_enabled());
+    }
+
+    #[test]
+    fn repeat_leases_share_one_value_buffer() {
+        let mut store = ParamStore::new(1);
+        let w = store.add_param("w", 2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        for mut t in [Tape::new(), Tape::inference()] {
+            let leases: Vec<TensorId> = (0..5).map(|_| t.param(&store, w)).collect();
+            assert_eq!(t.bufs.len(), 1, "five leases of one parameter must hold one buffer");
+            assert_eq!(t.len(), 5, "each lease keeps its own node");
+            for &l in &leases {
+                assert_eq!(t.data(l), store.data(w));
+            }
+        }
+    }
+
+    #[test]
+    fn repeat_leases_each_accumulate_their_own_gradient() {
+        let mut store = ParamStore::new(1);
+        let w = store.add_param("w", 1, 3, vec![0.5, -1.0, 2.0]);
+        let mut t = Tape::new();
+        let w1 = t.param(&store, w);
+        let w2 = t.param(&store, w);
+        let w2 = t.scale(w2, 2.0);
+        let s = t.add(w1, w2);
+        let l = t.sum_all(s);
+        t.backward(l, &mut store);
+        assert_eq!(store.grad(w), &[3.0; 3]);
+    }
+
+    #[test]
+    fn a_write_between_leases_is_seen_by_the_next_lease() {
+        let mut store = ParamStore::new(1);
+        let w = store.add_param("w", 1, 2, vec![1.0, 2.0]);
+        let snap = store.snapshot();
+        let mut t = Tape::inference();
+        let before = t.param(&store, w);
+        store.data_mut(w).copy_from_slice(&[7.0, 8.0]);
+        let after_write = t.param(&store, w);
+        store.restore(&snap);
+        let after_restore = t.param(&store, w);
+        assert_eq!(t.data(before), &[1.0, 2.0]);
+        assert_eq!(t.data(after_write), &[7.0, 8.0]);
+        assert_eq!(t.data(after_restore), &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn two_stores_on_one_tape_never_alias_a_param_id() {
+        let mut sa = ParamStore::new(1);
+        let a = sa.add_param("a", 1, 2, vec![1.0, 2.0]);
+        let mut sb = ParamStore::new(1);
+        let b = sb.add_param("b", 1, 2, vec![3.0, 4.0]);
+        assert_eq!(a, b, "the test needs the same ParamId in both stores");
+        let sc = sa.clone();
+        let mut t = Tape::inference();
+        let la = t.param(&sa, a);
+        let lb = t.param(&sb, b);
+        let la2 = t.param(&sa, a);
+        let lc = t.param(&sc, a);
+        assert_eq!(t.data(la), &[1.0, 2.0]);
+        assert_eq!(t.data(lb), &[3.0, 4.0]);
+        assert_eq!(t.data(la2), &[1.0, 2.0]);
+        assert_eq!(t.data(lc), &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn a_cleared_tape_releases_from_the_store() {
+        let mut store = ParamStore::new(1);
+        let w = store.add_param("w", 1, 2, vec![1.0, 2.0]);
+        let mut t = Tape::inference();
+        t.param(&store, w);
+        t.clear();
+        // The first buffer of the new pass is a constant; a stale lease
+        // map would hand its index back as `w`.
+        let k = t.constant(1, 2, vec![-5.0, -6.0]);
+        let l = t.param(&store, w);
+        assert_eq!(t.data(k), &[-5.0, -6.0]);
+        assert_eq!(t.data(l), &[1.0, 2.0]);
+        assert_eq!(t.bufs.len(), 2, "the new pass must copy `w` into its own buffer");
+    }
+
+    #[test]
+    fn quantized_matmul_recognises_a_repeat_lease() {
+        let (k, c) = (simd::QUANT_MIN_K, simd::QUANT_MIN_C);
+        let mut store = ParamStore::new(3);
+        let w = store.add_xavier("w", k, c);
+        let quant = Arc::new(QuantSet::build(&store));
+        let x: Vec<f32> = (0..k).map(|i| (i as f32 * 0.37).sin()).collect();
+        let mut t = Tape::inference_with(Numerics::Quantized);
+        t.attach_quant(Arc::clone(&quant));
+        let xv = t.constant(1, k, x.clone());
+        let _first = t.param(&store, w);
+        let again = t.param(&store, w);
+        let y = t.matmul(xv, again);
+        let mut want = vec![0.0f32; c];
+        simd::matmul_q8(&x, quant.get(w).expect("eligible"), &mut want, 1, k, c);
+        let got: Vec<u32> = t.data(y).iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want, "a repeat lease must still run the i8 kernel");
     }
 
     #[test]

@@ -47,6 +47,26 @@ fn dims_wide() -> impl Strategy<Value = (usize, usize, usize)> {
     )
 }
 
+/// The `[r,k]×[k,c]` shapes the model runs: decoder-step products
+/// (1×48×192, 1×57×192, 1×65×192), the GAT-e edge update z·W3
+/// (86×48×12) and an encoder projection (9×48×48).
+const MODEL_SHAPES: [(usize, usize, usize); 5] =
+    [(1, 48, 192), (1, 57, 192), (1, 65, 192), (86, 48, 12), (9, 48, 48)];
+
+/// The forward kernel's small-row and narrow-panel paths: 1–3 rows
+/// (below the 4-row tile, where B is read in place) against widths
+/// that are and are not multiples of 16 (below 16 included); half the
+/// cases are instead one of [`MODEL_SHAPES`].
+fn dims_model() -> impl Strategy<Value = (usize, usize, usize)> {
+    (
+        0usize..2 * MODEL_SHAPES.len(),
+        1usize..=3,
+        1usize..=66,
+        prop_oneof![1usize..=15, 17usize..=47, 16usize..=16, 32usize..=32, 192usize..=192],
+    )
+        .prop_map(|(pick, r, k, c)| MODEL_SHAPES.get(pick).copied().unwrap_or((r, k, c)))
+}
+
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
@@ -56,6 +76,21 @@ proptest! {
 
     #[test]
     fn blocked_forward_is_bitwise_equal_to_naive((r, k, c) in dims(), av in mat(400), bv in mat(800)) {
+        let avec: Vec<f32> = av.iter().cycle().take(r * k).copied().collect();
+        let bvec: Vec<f32> = bv.iter().cycle().take(k * c).copied().collect();
+        let mut naive = vec![f32::NAN; r * c];
+        let mut blocked = vec![f32::NAN; r * c];
+        kernels::matmul_naive(&avec, &bvec, &mut naive, r, k, c);
+        kernels::matmul(&avec, &bvec, &mut blocked, r, k, c);
+        prop_assert_eq!(bits(&naive), bits(&blocked));
+    }
+
+    #[test]
+    fn blocked_forward_is_bitwise_equal_to_naive_at_small_rows_and_model_shapes(
+        (r, k, c) in dims_model(),
+        av in mat(400),
+        bv in mat(800),
+    ) {
         let avec: Vec<f32> = av.iter().cycle().take(r * k).copied().collect();
         let bvec: Vec<f32> = bv.iter().cycle().take(k * c).copied().collect();
         let mut naive = vec![f32::NAN; r * c];
