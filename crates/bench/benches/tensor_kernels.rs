@@ -117,9 +117,11 @@ fn kernel_sweep() -> Vec<KernelRow> {
 
 /// The `(r, k, c)` products the model runs per query: decoder-step
 /// LSTM/attention products (1×48×192, 1×57×192, 1×65×192), the GAT-e
-/// edge update z·W3 (86×48×12) and an encoder projection (9×48×48).
-const MODEL_SHAPES: [(usize, usize, usize); 5] =
-    [(1, 48, 192), (1, 57, 192), (1, 65, 192), (86, 48, 12), (9, 48, 48)];
+/// edge update z·W3 (86×48×12), an encoder projection (9×48×48), and
+/// two single-column mat-vecs: GAT-e z·a_e (81×48×1) and an attention
+/// vector over a small graph's node states (9×48×1).
+const MODEL_SHAPES: [(usize, usize, usize); 7] =
+    [(1, 48, 192), (1, 57, 192), (1, 65, 192), (86, 48, 12), (9, 48, 48), (81, 48, 1), (9, 48, 1)];
 
 struct ShapeRow {
     r: usize,

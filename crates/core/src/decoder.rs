@@ -152,6 +152,12 @@ impl RouteDecoder {
     }
 
     /// Greedy decoding (Eq. 31): returns the predicted visit sequence.
+    ///
+    /// Each step scores only the unvisited candidates: their key rows,
+    /// in ascending node order, are gathered and scored, so the argmax
+    /// (the first maximum) is the one a full masked scoring picks. The
+    /// last candidate is taken without scoring, so the state LSTM only
+    /// steps while a scored step is left to read its output.
     pub fn decode(
         &self,
         t: &mut Tape,
@@ -162,25 +168,27 @@ impl RouteDecoder {
         let (n, _) = t.shape(x_in);
         let keys = self.w_node.forward(t, store, x_in);
         let mut state = self.lstm.zero_state(t);
-        let mut visited = vec![false; n];
+        let mut live: Vec<usize> = (0..n).collect();
         let mut route = Vec::with_capacity(n);
-        for _ in 0..n {
-            let logits = self.step_logits(t, store, keys, state.0, u);
-            let data = t.data(logits);
-            let mut best = usize::MAX;
+        while live.len() > 1 {
+            let live_keys = if live.len() == n { keys } else { t.gather_rows(keys, &live) };
+            let logits = self.step_logits(t, store, live_keys, state.0, u);
+            let mut pick = usize::MAX;
             let mut best_v = f32::NEG_INFINITY;
-            for (j, &v) in data.iter().enumerate() {
-                if !visited[j] && v > best_v {
+            for (j, &v) in t.data(logits).iter().enumerate() {
+                if v > best_v {
                     best_v = v;
-                    best = j;
+                    pick = j;
                 }
             }
-            debug_assert_ne!(best, usize::MAX);
-            visited[best] = true;
+            let best = live.remove(pick);
             route.push(best);
-            let inp = t.row(x_in, best);
-            state = self.lstm.step(t, store, inp, state);
+            if live.len() > 1 {
+                let inp = t.row(x_in, best);
+                state = self.lstm.step(t, store, inp, state);
+            }
         }
+        route.extend(live);
         route
     }
 }
@@ -243,6 +251,7 @@ impl SortLstm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rtp_tensor::optim::{Adam, Optimizer};
 
     #[test]
@@ -312,6 +321,58 @@ mod tests {
         let greedy = dec.decode(&mut t, &store, x, u);
         let beam1 = dec.decode_beam(&mut t, &store, x, u, 1);
         assert_eq!(greedy, beam1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Greedy decoding scores only the live candidates; beam width 1
+        /// scores every node under the visited mask. Both must pick the
+        /// same route, including the lowest-index tie-break when every
+        /// node has the same features.
+        #[test]
+        fn greedy_decode_equals_full_scoring_beam_one(
+            n in 1usize..=12,
+            seed in 0u64..1_000,
+            feats in proptest::collection::vec(-2.0f32..2.0, 12 * 6),
+            courier in proptest::collection::vec(-1.0f32..1.0, 3),
+            ties in any::<bool>(),
+        ) {
+            let mut store = ParamStore::new(seed);
+            let dec = RouteDecoder::new(&mut store, "d", 6, 3, 8, 8);
+            let data: Vec<f32> =
+                if ties { feats[..6].repeat(n) } else { feats[..n * 6].to_vec() };
+            let mut t = Tape::inference();
+            let x = t.constant(n, 6, data);
+            let u = t.constant(1, 3, courier);
+            let greedy = dec.decode(&mut t, &store, x, u);
+            prop_assert_eq!(&greedy, &dec.decode_beam(&mut t, &store, x, u, 1));
+            if ties {
+                prop_assert_eq!(greedy, (0..n).collect::<Vec<_>>());
+            }
+        }
+    }
+
+    #[test]
+    fn greedy_decode_of_one_and_two_candidates() {
+        let mut store = ParamStore::new(13);
+        let dec = RouteDecoder::new(&mut store, "d", 4, 2, 8, 8);
+        let (p, q) = ([0.9, -0.4, 0.3, 1.2], [-0.7, 0.5, 0.1, -1.1]);
+        let decode = |rows: &[[f32; 4]]| {
+            let mut t = Tape::inference();
+            let x = t.constant(rows.len(), 4, rows.concat());
+            let u = t.constant(1, 2, vec![0.3, -0.2]);
+            let greedy = dec.decode(&mut t, &store, x, u);
+            assert_eq!(greedy, dec.decode_beam(&mut t, &store, x, u, 1), "rows {rows:?}");
+            greedy
+        };
+        assert_eq!(decode(&[p]), [0]);
+        let forward = decode(&[p, q]);
+        assert_eq!(forward.len(), 2);
+        // Swapping the two nodes must swap the route.
+        let swapped: Vec<usize> = decode(&[q, p]).iter().map(|&j| 1 - j).collect();
+        assert_eq!(forward, swapped);
+        assert_eq!(decode(&[p, p]), [0, 1], "a tie picks the lower index first");
     }
 
     #[test]

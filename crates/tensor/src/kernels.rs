@@ -11,7 +11,10 @@
 //!   would share a pack, so full panels read B in place with its own
 //!   row stride. An edge panel narrower than 16 columns is packed
 //!   zero-padded to 16 lanes and runs the same fixed-width tile into
-//!   a scratch tile, of which only the real lanes are copied out.
+//!   a scratch tile, of which only the real lanes are copied out. A
+//!   single-column B (`c == 1`: attention vectors, the decoder's
+//!   `scores·v`) skips the panels: eight rows of A run at a time, one
+//!   independent accumulator each.
 //! * [`matmul_grad_a`] — `gA += G @ Bᵀ`. B is transposed once per call
 //!   into a `[c,k]` scratch so each `g != 0` term becomes a contiguous
 //!   saxpy into a per-row accumulator — the same memory shape as the
@@ -87,15 +90,7 @@ pub fn matmul(a: &[f32], b: &[f32], out: &mut [f32], r: usize, k: usize, c: usiz
         return;
     }
     if c == 1 {
-        // B is a contiguous column vector: plain dot products.
-        for i in 0..r {
-            let arow = &a[i * k..(i + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in arow.iter().zip(b) {
-                acc += av * bv;
-            }
-            out[i] = acc;
-        }
+        matvec(a, b, out, k);
         return;
     }
     PACK.with(|s| {
@@ -135,6 +130,53 @@ pub fn matmul(a: &[f32], b: &[f32], out: &mut [f32], r: usize, k: usize, c: usiz
             jb += nr;
         }
     });
+}
+
+/// Rows of A per block of the mat-vec path, and the width of its
+/// fixed-size steps along k.
+const MV: usize = 8;
+
+/// The `c == 1` forward product: B is a contiguous column vector, so
+/// each output is one dot product. [`MV`] rows run at a time, each with
+/// its own accumulator, so their add chains overlap instead of waiting
+/// on one another. The main loop steps k by [`MV`] over fixed-size
+/// arrays, which lets the compiler drop the bounds checks and keep the
+/// block in vector registers. Each accumulator still sums its own row
+/// left to right from 0 — bit-identical to the reference.
+#[allow(clippy::needless_range_loop)] // one index walks rows and accumulators together
+fn matvec(a: &[f32], b: &[f32], out: &mut [f32], k: usize) {
+    let b = &b[..k];
+    let whole = k - k % MV;
+    let mut blocks = a.chunks_exact(MV * k);
+    let mut outs = out.chunks_exact_mut(MV);
+    for (block, o) in (&mut blocks).zip(&mut outs) {
+        let rows: [&[f32]; MV] = std::array::from_fn(|l| &block[l * k..(l + 1) * k]);
+        let mut acc = [0.0f32; MV];
+        for kk in (0..whole).step_by(MV) {
+            let bc: &[f32; MV] = b[kk..kk + MV].try_into().expect("MV-wide step");
+            for l in 0..MV {
+                let rc: &[f32; MV] = rows[l][kk..kk + MV].try_into().expect("MV-wide step");
+                let mut s = acc[l];
+                for j in 0..MV {
+                    s += rc[j] * bc[j];
+                }
+                acc[l] = s;
+            }
+        }
+        for kk in whole..k {
+            for l in 0..MV {
+                acc[l] += rows[l][kk] * b[kk];
+            }
+        }
+        o.copy_from_slice(&acc);
+    }
+    for (arow, o) in blocks.remainder().chunks_exact(k).zip(outs.into_remainder()) {
+        let mut acc = 0.0f32;
+        for (&av, &bv) in arow.iter().zip(b) {
+            acc += av * bv;
+        }
+        *o = acc;
+    }
 }
 
 /// One NR-wide column panel of the forward product:

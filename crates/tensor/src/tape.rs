@@ -15,19 +15,24 @@
 //! instead of copying, and backward can borrow one node's gradient
 //! mutably while reading another node's values — no cloning.
 //!
-//! [`Tape::clear`] moves every buffer into a free-list pool; the next
-//! forward pass pops from the pool instead of hitting the allocator.
-//! A tape reused via `clear()` across samples/epochs is allocation-free
-//! in steady state. [`Tape::inference`] builds a no-grad tape that
-//! skips gradient allocation and op-payload recording entirely;
-//! [`Tape::backward`] on such a tape panics.
+//! [`Tape::clear`] moves every buffer except the leased parameters
+//! (below) into a free-list pool; the next forward pass pops from the
+//! pool instead of hitting the allocator. A tape reused via `clear()`
+//! across samples/epochs is allocation-free in steady state.
+//! [`Tape::inference`] builds a no-grad tape that skips gradient
+//! allocation and op-payload recording entirely; [`Tape::backward`] on
+//! such a tape panics.
 //!
-//! A parameter is copied onto the tape once per pass: the first
-//! [`Tape::param`] lease copies its values into a buffer, and every
-//! repeat lease of the same parameter (an LSTM step, a decoder step)
-//! is a view of that buffer with its own node and gradient. The lease
-//! map is keyed on the store's stamp, which changes whenever the
-//! store's values do, and is emptied by [`Tape::clear`].
+//! A parameter is copied onto the tape once per store value state: the
+//! first [`Tape::param`] lease copies its values into a buffer, and
+//! every later lease of the same parameter (an LSTM step, a decoder
+//! step, the next pass) is a view of that buffer with its own node and
+//! gradient. [`Tape::clear`] keeps the leased buffers resident as a
+//! prefix of the value arena. The lease map is keyed on the store's
+//! stamp, which changes whenever the store's values do (a write, a
+//! restore, an optimizer step, another store or a clone), so a stale
+//! copy is never served: a changed stamp empties the map and the next
+//! `clear()` pools the orphaned copies.
 
 use std::sync::Arc;
 
@@ -165,9 +170,12 @@ pub struct Tape {
     numerics: Numerics,
     /// Quantized parameter snapshots for [`Numerics::Quantized`].
     quant: Option<Arc<QuantSet>>,
-    /// Buffer of each parameter's first lease this pass, indexed by
-    /// `ParamId` (see [`Tape::param`]).
+    /// Buffer of each parameter's first lease, indexed by `ParamId`
+    /// (see [`Tape::param`]).
     leases: Vec<Option<u32>>,
+    /// The leased `ParamId`s in ascending buffer order, so
+    /// [`Tape::clear`] can compact their buffers into a prefix.
+    lease_order: Vec<ParamId>,
     /// [`ParamStore::stamp`] of the store `leases` was filled from.
     lease_stamp: u64,
 }
@@ -191,6 +199,7 @@ impl Tape {
             numerics: Numerics::Exact,
             quant: None,
             leases: Vec::new(),
+            lease_order: Vec::new(),
             lease_stamp: 0,
         }
     }
@@ -258,25 +267,38 @@ impl Tape {
         self.grad_enabled
     }
 
-    /// Forgets all nodes but keeps every buffer in the free-list pool,
-    /// so the next forward pass on this tape reuses their allocations.
-    /// Reusing a cleared tape is bit-identical to using a fresh one.
+    /// Forgets all nodes. The leased parameter buffers stay resident,
+    /// moved to the front of the value arena, so the next pass over an
+    /// unchanged store leases them without a copy (see [`Tape::param`]).
+    /// Every other buffer goes to the free-list pool, so the next
+    /// forward pass on this tape reuses their allocations. Reusing a
+    /// cleared tape is bit-identical to using a fresh one.
     ///
-    /// The pool is capped at the pass that just finished: one pass can
-    /// consume at most as many pooled buffers as it records, but it may
-    /// *record* more than it consumed — ops fed caller-built vectors
-    /// ([`Tape::constant`] and friends) push buffers that never came
-    /// from the pool. Without the cap those extras pile up as dead
-    /// weight behind the LIFO's working end — roughly one buffer set
-    /// per forward pass, which on a long-lived serving tape grew
-    /// resident memory by hundreds of kilobytes *per request* until a
-    /// model swap happened to rebuild the tape. The oldest (coldest)
-    /// buffers are dropped first; the warm tail keeps its capacities.
+    /// The pool is capped at the buffer count of the pass that just
+    /// finished: one pass can consume at most as many pooled buffers as
+    /// it records, but it may *record* more than it consumed — ops fed
+    /// caller-built vectors ([`Tape::constant`] and friends) push
+    /// buffers that never came from the pool. Without the cap those
+    /// extras pile up as dead weight behind the LIFO's working end —
+    /// roughly one buffer set per forward pass, which on a long-lived
+    /// serving tape grew resident memory by hundreds of kilobytes *per
+    /// request* until a model swap happened to rebuild the tape. The
+    /// oldest (coldest) buffers are dropped first; the warm tail keeps
+    /// its capacities. The resident leases count toward the cap
+    /// although they stay out of the pool: that slack serves a next
+    /// pass larger than this one (a longer route) without allocating.
     pub fn clear(&mut self) {
         self.nodes.clear();
-        self.leases.clear();
+        // `lease_order` is ascending in buffer index, so every swap
+        // moves a non-lease buffer out of the prefix, never a lease
+        // still waiting for its turn.
+        for (slot, pid) in self.lease_order.iter().enumerate() {
+            let buf = self.leases[pid.index()].as_mut().expect("lease_order names a lease");
+            self.bufs.swap(slot, *buf as usize);
+            *buf = slot as u32;
+        }
         let used = self.bufs.len() + self.grads.len();
-        self.pool.append(&mut self.bufs);
+        self.pool.extend(self.bufs.drain(self.lease_order.len()..));
         self.pool.append(&mut self.grads);
         if self.pool.len() > used {
             self.pool.drain(..self.pool.len() - used);
@@ -398,16 +420,18 @@ impl Tape {
     /// into the returned tensor are accumulated back into the store by
     /// [`Tape::backward`].
     ///
-    /// Only the first lease of `id` in a pass copies its values; a
-    /// repeat lease is a view of that buffer. Every lease is its own
-    /// `Param` node, so backward accumulates each one's gradient into
-    /// the store exactly as if it had been copied. A store whose stamp
-    /// differs from the one the leases came from (another store, or
-    /// this one after a write) flushes the map first.
+    /// Only the first lease of `id` copies its values; a repeat lease,
+    /// in this pass or a later one, is a view of that buffer. Every
+    /// lease is its own `Param` node, so backward accumulates each
+    /// one's gradient into the store exactly as if it had been copied.
+    /// A store whose stamp differs from the one the leases came from
+    /// (another store, a clone, or this one after a write, a restore or
+    /// an optimizer step) flushes the map first.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> TensorId {
         let (rows, cols) = store.shape(id);
         if self.lease_stamp != store.stamp() {
             self.leases.clear();
+            self.lease_order.clear();
             self.lease_stamp = store.stamp();
         }
         if let Some(&Some(buf)) = self.leases.get(id.index()) {
@@ -417,6 +441,7 @@ impl Tape {
             self.leases.resize(id.index() + 1, None);
         }
         self.leases[id.index()] = Some(self.bufs.len() as u32);
+        self.lease_order.push(id);
         let mut out = self.alloc();
         out.extend_from_slice(store.data(id));
         self.push(rows, cols, out, Op::Param(id))
@@ -524,18 +549,14 @@ impl Tape {
     }
 
     /// Broadcast add of a row vector: `[r,c] + [1,c]`.
-    #[allow(clippy::needless_range_loop)] // explicit i,j indexing matches the math
     pub fn add_row(&mut self, a: TensorId, b: TensorId) -> TensorId {
         let (r, c) = self.shape(a);
         let (br, bc) = self.shape(b);
         assert_eq!((br, bc), (1, c), "add_row expects [1,{c}], got [{br},{bc}]");
         let mut out = self.alloc();
-        let da = self.data(a);
         let db = self.data(b);
-        for i in 0..r {
-            for j in 0..c {
-                out.push(da[i * c + j] + db[j]);
-            }
+        for row in rows_of(self.data(a), c) {
+            out.extend(row.iter().zip(db).map(|(&x, &y)| x + y));
         }
         self.push(r, c, out, Op::AddRow(a, b))
     }
@@ -546,12 +567,8 @@ impl Tape {
         let (br, bc) = self.shape(b);
         assert_eq!((br, bc), (r, 1), "add_col expects [{r},1], got [{br},{bc}]");
         let mut out = self.alloc();
-        let da = self.data(a);
-        let db = self.data(b);
-        for i in 0..r {
-            for j in 0..c {
-                out.push(da[i * c + j] + db[i]);
-            }
+        for (row, &y) in rows_of(self.data(a), c).zip(self.data(b)) {
+            out.extend(row.iter().map(|&x| x + y));
         }
         self.push(r, c, out, Op::AddCol(a, b))
     }
@@ -567,12 +584,9 @@ impl Tape {
         rtp_obs::counter!("tensor.op.add_outer.calls").inc();
         rtp_obs::counter!("tensor.op.add_outer.flops").add((r * c) as u64);
         let mut out = self.alloc();
-        let da = self.data(a);
         let db = self.data(b);
-        for &ai in da.iter().take(r) {
-            for &bj in db.iter().take(c) {
-                out.push(ai + bj);
-            }
+        for &x in self.data(a) {
+            out.extend(db.iter().map(|&y| x + y));
         }
         self.push(r, c, out, Op::AddOuter(a, b))
     }
@@ -594,12 +608,9 @@ impl Tape {
         let (br, bc) = self.shape(b);
         assert_eq!((br, bc), (1, c), "mul_row expects [1,{c}], got [{br},{bc}]");
         let mut out = self.alloc();
-        let da = self.data(a);
         let db = self.data(b);
-        for i in 0..r {
-            for j in 0..c {
-                out.push(da[i * c + j] * db[j]);
-            }
+        for row in rows_of(self.data(a), c) {
+            out.extend(row.iter().zip(db).map(|(&x, &y)| x * y));
         }
         self.push(r, c, out, Op::MulRow(a, b))
     }
@@ -1271,6 +1282,12 @@ impl Tape {
 // free helpers
 // -------------------------------------------------------------------
 
+/// The rows of a row-major buffer `c` columns wide (none when `c == 0`,
+/// where the buffer is empty).
+fn rows_of(d: &[f32], c: usize) -> std::slice::ChunksExact<'_, f32> {
+    d.chunks_exact(c.max(1))
+}
+
 fn add_assign(dst: &mut [f32], src: &[f32]) {
     for (d, s) in dst.iter_mut().zip(src) {
         *d += s;
@@ -1342,6 +1359,7 @@ fn log_softmax_row(x: &[f32], mask: &[bool], out: &mut [f32]) {
 mod tests {
     use super::*;
     use crate::approx_eq_slice;
+    use crate::optim::{Adam, Optimizer};
 
     #[test]
     fn matmul_forward() {
@@ -1779,7 +1797,127 @@ mod tests {
         let l = t.param(&store, w);
         assert_eq!(t.data(k), &[-5.0, -6.0]);
         assert_eq!(t.data(l), &[1.0, 2.0]);
-        assert_eq!(t.bufs.len(), 2, "the new pass must copy `w` into its own buffer");
+        assert_ne!(t.bufi(k), t.bufi(l), "the constant must not alias `w`");
+        assert_eq!(t.bufs.len(), 2, "the new pass must lease the resident `w`, not copy it again");
+    }
+
+    #[test]
+    fn a_second_pass_over_an_unchanged_store_copies_no_parameter() {
+        let mut store = ParamStore::new(2);
+        let w = store.add_xavier("w", 3, 4);
+        let b = store.add_zeros("b", 1, 4);
+        for mut t in [Tape::new(), Tape::inference()] {
+            let l1 = sample_program(&mut t, &store, w, b);
+            let want = t.scalar(l1).to_bits();
+            let w1 = t.param(&store, w);
+            let resident = t.data(w1).as_ptr();
+            t.clear();
+            let misses = t.pool_stats().1;
+            let l2 = sample_program(&mut t, &store, w, b);
+            let w2 = t.param(&store, w);
+            assert_eq!(t.scalar(l2).to_bits(), want);
+            assert_eq!(
+                t.data(w2).as_ptr(),
+                resident,
+                "`w` must be leased from its resident buffer"
+            );
+            assert_eq!(t.pool_stats().1, misses, "the second pass must not allocate");
+        }
+    }
+
+    #[test]
+    fn resident_leases_keep_their_values_whatever_the_lease_order() {
+        let mut store = ParamStore::new(3);
+        let ids: Vec<ParamId> = (0..4)
+            .map(|i| store.add_param(&format!("p{i}"), 1, 2, vec![i as f32, -(i as f32)]))
+            .collect();
+        let mut t = Tape::inference();
+        for order in [[0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1], [1, 3, 0, 2], [0, 1, 2, 3]] {
+            t.clear();
+            for (k, &i) in order.iter().enumerate() {
+                if k % 2 == 1 {
+                    t.constant(1, 2, vec![9.0, 9.0]);
+                }
+                let l = t.param(&store, ids[i]);
+                assert_eq!(t.data(l), store.data(ids[i]), "order {order:?}, param {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_write_between_passes_is_seen_by_the_next_pass() {
+        let mut store = ParamStore::new(1);
+        let w = store.add_param("w", 1, 2, vec![1.0, 2.0]);
+        let snap = store.snapshot();
+        let mut t = Tape::new();
+        let pass = move |t: &mut Tape, store: &ParamStore| {
+            t.clear();
+            let l = t.param(store, w);
+            t.data(l).to_vec()
+        };
+        assert_eq!(pass(&mut t, &store), [1.0, 2.0]);
+        store.data_mut(w).copy_from_slice(&[7.0, 8.0]);
+        assert_eq!(pass(&mut t, &store), [7.0, 8.0]);
+        store.restore(&snap);
+        assert_eq!(pass(&mut t, &store), [1.0, 2.0]);
+        t.clear();
+        let l = t.param(&store, w);
+        let l = t.sum_all(l);
+        t.backward(l, &mut store);
+        Adam::new(0.5).step(&mut store);
+        let stepped = store.data(w).to_vec();
+        assert_ne!(stepped, [1.0, 2.0], "the step must move `w`");
+        assert_eq!(pass(&mut t, &store), stepped);
+    }
+
+    #[test]
+    fn alternating_stores_on_one_tape_never_serve_each_others_values() {
+        let mut sa = ParamStore::new(1);
+        let a = sa.add_param("a", 1, 2, vec![1.0, 2.0]);
+        let mut sb = ParamStore::new(1);
+        let b = sb.add_param("b", 1, 2, vec![3.0, 4.0]);
+        assert_eq!(a, b, "the test needs the same ParamId in both stores");
+        let mut sc = sa.clone();
+        sc.data_mut(a).copy_from_slice(&[5.0, 6.0]);
+        let mut t = Tape::inference();
+        for _ in 0..3 {
+            for (store, want) in
+                [(&sa, [1.0, 2.0]), (&sb, [3.0, 4.0]), (&sa, [1.0, 2.0]), (&sc, [5.0, 6.0])]
+            {
+                t.clear();
+                let l = t.param(store, a);
+                assert_eq!(t.data(l), &want);
+            }
+        }
+    }
+
+    #[test]
+    fn pool_stays_bounded_over_many_passes_with_resident_parameters() {
+        let mut store = ParamStore::new(4);
+        let w = store.add_xavier("w", 6, 6);
+        let b = store.add_zeros("b", 1, 6);
+        let mut t = Tape::new();
+        let mut high_water = 0;
+        for pass in 0..1000 {
+            // Every 10th pass rewrites `w`, orphaning the resident copies.
+            if pass % 10 == 5 {
+                store.data_mut(w)[0] += 0.001;
+            }
+            t.clear();
+            if pass < 20 {
+                high_water = high_water.max(t.pool_len());
+            } else {
+                assert!(t.pool_len() <= high_water, "pool grew at pass {pass}: {}", t.pool_len());
+            }
+            let x = t.constant(4, 6, vec![0.25; 24]);
+            let wp = t.param(&store, w);
+            let h = t.matmul(x, wp);
+            let bp = t.param(&store, b);
+            let h = t.add_row(h, bp);
+            let l = t.mean_all(h);
+            t.backward(l, &mut store);
+        }
+        assert_eq!(t.bufs.len(), 6, "two resident leases plus the last pass's four op buffers");
     }
 
     #[test]

@@ -49,9 +49,19 @@ fn dims_wide() -> impl Strategy<Value = (usize, usize, usize)> {
 
 /// The `[r,k]×[k,c]` shapes the model runs: decoder-step products
 /// (1×48×192, 1×57×192, 1×65×192), the GAT-e edge update z·W3
-/// (86×48×12) and an encoder projection (9×48×48).
-const MODEL_SHAPES: [(usize, usize, usize); 5] =
-    [(1, 48, 192), (1, 57, 192), (1, 65, 192), (86, 48, 12), (9, 48, 48)];
+/// (86×48×12), an encoder projection (9×48×48), and the single-column
+/// mat-vecs: GAT-e z·a_e (81×48×1), h·a_left/right (16×48×1) and the
+/// decoder's scores·v (9×12×1).
+const MODEL_SHAPES: [(usize, usize, usize); 8] = [
+    (1, 48, 192),
+    (1, 57, 192),
+    (1, 65, 192),
+    (86, 48, 12),
+    (9, 48, 48),
+    (81, 48, 1),
+    (16, 48, 1),
+    (9, 12, 1),
+];
 
 /// The forward kernel's small-row and narrow-panel paths: 1–3 rows
 /// (below the 4-row tile, where B is read in place) against widths
