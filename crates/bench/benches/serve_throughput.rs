@@ -1,9 +1,6 @@
 //! Serve-layer throughput: requests/s of the NDJSON TCP server at 1
 //! worker vs all-core workers, each measured with micro-batching off
-//! and on, with concurrent closed-loop clients — plus the `--numerics
-//! fast` and `--numerics quantized` tiers at each worker count so the
-//! latency win of approximate inference is a recorded number, not a
-//! claim.
+//! and on, with concurrent closed-loop clients.
 //!
 //! Each arm starts a real server on an ephemeral port, drives it with
 //! `CLIENTS` threads doing request/reply round trips, and reads
@@ -11,7 +8,7 @@
 //! in-band `{"cmd":"stats"}` snapshot (the same histogram the
 //! `latency_ms` response field feeds). Every arm serves the *same*
 //! trained weights (one training run, replayed via `SavedModel`), so
-//! tier-to-tier deltas are pure numerics effects. Writes
+//! arm-to-arm deltas are pure serve-path effects. Writes
 //! `results/serve_throughput.json`.
 //!
 //! The client workload repeats one query line per distinct courier, so
@@ -46,7 +43,6 @@ use rtp_bench::{bench_dataset, bench_meta_json, bench_model};
 use rtp_cli::serve::{serve, ServeOptions, StatsReply};
 use rtp_sim::Dataset;
 use rtp_tensor::parallel::resolve_threads;
-use rtp_tensor::Numerics;
 
 const CLIENTS: usize = 4;
 const REQUESTS_PER_CLIENT: usize = 50;
@@ -69,7 +65,6 @@ const SWAP_SEGMENTS: usize = 8;
 struct Row {
     workers: usize,
     batch_max: usize,
-    numerics: Numerics,
     requests: usize,
     requests_per_sec: f64,
     p50_us: u64,
@@ -137,7 +132,6 @@ impl Write for AddrSink {
 fn start_server(
     workers: usize,
     batch_max: usize,
-    numerics: Numerics,
     model: M2G4Rtp,
     dataset: &Dataset,
 ) -> (String, std::thread::JoinHandle<()>) {
@@ -148,7 +142,6 @@ fn start_server(
         allow_shutdown: true,
         batch_max,
         batch_window: Duration::from_micros(BATCH_WINDOW_US),
-        numerics,
         ..Default::default()
     };
     let server = std::thread::spawn(move || {
@@ -208,12 +201,11 @@ fn stats_and_stop(addr: &str) -> (u64, u64, f64) {
 fn measure(
     workers: usize,
     batch_max: usize,
-    numerics: Numerics,
     model: M2G4Rtp,
     dataset: &Dataset,
     idle_conns: usize,
 ) -> Row {
-    let (addr, server) = start_server(workers, batch_max, numerics, model, dataset);
+    let (addr, server) = start_server(workers, batch_max, model, dataset);
     let lines = query_lines(dataset);
     warm_server(&addr, &lines);
 
@@ -256,7 +248,6 @@ fn measure(
     Row {
         workers,
         batch_max,
-        numerics,
         requests,
         requests_per_sec: requests as f64 / elapsed,
         p50_us,
@@ -283,7 +274,7 @@ fn measure_swap_pair(
     dataset: &Dataset,
     reload_path: &str,
 ) -> (Row, Row) {
-    let (addr, server) = start_server(workers, BATCH_MAX, Numerics::Exact, model, dataset);
+    let (addr, server) = start_server(workers, BATCH_MAX, model, dataset);
     let lines = query_lines(dataset);
     warm_server(&addr, &lines);
 
@@ -352,7 +343,6 @@ fn measure_swap_pair(
     let row = |(requests, seconds): (u64, f64), reloads: usize| Row {
         workers,
         batch_max: BATCH_MAX,
-        numerics: Numerics::Exact,
         requests: requests as usize,
         requests_per_sec: requests as f64 / seconds,
         // One shared window: the latency/cache stats describe the pair
@@ -371,8 +361,8 @@ fn main() {
     let swap_only = std::env::args().any(|a| a == "--swap-only");
     let cores = resolve_threads(0);
     let dataset = bench_dataset();
-    // One training run shared by every arm: the tier columns then
-    // differ only in kernel numerics, never in weights.
+    // One training run shared by every arm: arms then differ only in
+    // serve configuration, never in weights.
     let saved = bench_model(&dataset).to_saved();
     let load = || M2G4Rtp::from_saved(saved.clone());
     // The swap arm reloads the very same weights from disk: an
@@ -393,16 +383,13 @@ fn main() {
         settings.clear();
     }
 
-    // Each worker count gets an unbatched arm (batch_max 1: the legacy
-    // per-worker path), a batched arm (micro-batching + encoder cache)
-    // and the two approximate-numerics arms (unbatched, so the tier
-    // delta is not confounded with cache effects).
-    let mut rows: Vec<(Row, f64)> = Vec::new(); // (row, speedup vs exact unbatched same workers)
+    // Each worker count gets an unbatched arm (batch_max 1: the
+    // per-worker path) and a batched arm (micro-batching + encoder
+    // cache).
+    let mut rows: Vec<(Row, f64)> = Vec::new(); // (row, speedup vs unbatched same workers)
     for &w in &settings {
-        let off = measure(w, 1, Numerics::Exact, load(), &dataset, 0);
-        let on = measure(w, BATCH_MAX, Numerics::Exact, load(), &dataset, 0);
-        let fast = measure(w, 1, Numerics::Fast, load(), &dataset, 0);
-        let quant = measure(w, 1, Numerics::Quantized, load(), &dataset, 0);
+        let off = measure(w, 1, load(), &dataset, 0);
+        let on = measure(w, BATCH_MAX, load(), &dataset, 0);
         let base_off = off.requests_per_sec;
         println!(
             "workers {:>2} unbatched: {:>8.1} req/s  (p50 {:.3} ms, p99 {:.3} ms)",
@@ -421,24 +408,9 @@ fn main() {
             on.p50_us as f64 / 1000.0,
             on.p99_us as f64 / 1000.0
         );
-        for r in [&fast, &quant] {
-            println!(
-                "workers {:>2} {:>9}: {:>8.1} req/s  ({:.2}x vs exact unbatched, p50 {:.3} ms, p99 {:.3} ms)",
-                r.workers,
-                r.numerics.as_str(),
-                r.requests_per_sec,
-                r.requests_per_sec / base_off,
-                r.p50_us as f64 / 1000.0,
-                r.p99_us as f64 / 1000.0
-            );
-        }
         let on_speedup = on.requests_per_sec / base_off;
-        let fast_speedup = fast.requests_per_sec / base_off;
-        let quant_speedup = quant.requests_per_sec / base_off;
         rows.push((off, 1.0));
         rows.push((on, on_speedup));
-        rows.push((fast, fast_speedup));
-        rows.push((quant, quant_speedup));
     }
 
     // Idle-connection soak: the same 1-worker unbatched arm, measured
@@ -450,8 +422,8 @@ fn main() {
     // constrained runner soaks what it can instead of dying on EMFILE.
     if !swap_only {
         let soak_n = ((max_open_files().saturating_sub(256)) / 2).min(1500);
-        let soak_base = measure(1, 1, Numerics::Exact, load(), &dataset, 0);
-        let soak = measure(1, 1, Numerics::Exact, load(), &dataset, soak_n);
+        let soak_base = measure(1, 1, load(), &dataset, 0);
+        let soak = measure(1, 1, load(), &dataset, soak_n);
         println!(
             "idle soak: {:>8.1} req/s with {} idle conns vs {:>8.1} req/s with none ({:.2}x, {} extra thread(s))",
             soak.requests_per_sec,
@@ -484,10 +456,9 @@ fn main() {
         .iter()
         .map(|(r, speedup_vs_unbatched)| {
             format!(
-                "    {{\"workers\": {}, \"batch_max\": {}, \"numerics\": \"{}\", \"requests\": {}, \"requests_per_sec\": {:.3}, \"speedup_vs_1\": {:.3}, \"speedup_vs_unbatched\": {:.3}, \"cache_hit_rate\": {:.4}, \"p50_us\": {}, \"p99_us\": {}, \"idle_conns\": {}, \"idle_threads_delta\": {}, \"reloads\": {}}}",
+                "    {{\"workers\": {}, \"batch_max\": {}, \"requests\": {}, \"requests_per_sec\": {:.3}, \"speedup_vs_1\": {:.3}, \"speedup_vs_unbatched\": {:.3}, \"cache_hit_rate\": {:.4}, \"p50_us\": {}, \"p99_us\": {}, \"idle_conns\": {}, \"idle_threads_delta\": {}, \"reloads\": {}}}",
                 r.workers,
                 r.batch_max,
-                r.numerics.as_str(),
                 r.requests,
                 r.requests_per_sec,
                 r.requests_per_sec / base,

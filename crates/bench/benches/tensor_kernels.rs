@@ -4,9 +4,8 @@
 //! Three measurements, written to `results/tensor_kernels.json`:
 //!
 //! 1. **Kernel sweep** — square-matmul GFLOP-rate of the blocked,
-//!    B-packed forward kernel vs the naive reference, both backward
-//!    accumulation kernels, and the fast (FMA) and quantized (i8)
-//!    inference tiers, at n ∈ {16, 32, 64, 128, 256}; then the
+//!    B-packed forward kernel vs the naive reference and both backward
+//!    accumulation kernels at n ∈ {16, 32, 64, 128, 256}; then the
 //!    forward kernel vs the naive reference at the `[r,k]×[k,c]`
 //!    shapes the model runs (see [`MODEL_SHAPES`]).
 //! 2. **Tape reuse** — forward+backward throughput of a small MLP-like
@@ -19,7 +18,7 @@
 //!    *where* the model's arithmetic actually goes.
 
 use rtp_bench::{bench_dataset, bench_meta_json, bench_model};
-use rtp_tensor::{kernels, GradBuffer, Numerics, ParamStore, QuantizedMatrix, Tape};
+use rtp_tensor::{kernels, GradBuffer, ParamStore, Tape};
 use std::time::Instant;
 
 /// Deterministic pseudo-random fill (no rand dependency needed here).
@@ -65,8 +64,6 @@ struct KernelRow {
     blocked_gflops: f64,
     grad_a_gflops: f64,
     grad_b_gflops: f64,
-    fast_gflops: f64,
-    q8_gflops: f64,
     speedup: f64,
 }
 
@@ -81,12 +78,9 @@ fn kernel_sweep() -> Vec<KernelRow> {
             fill(&mut a, 1 + n as u32);
             fill(&mut b, 2 + n as u32);
             let flops = 2.0 * (n as f64).powi(3);
-            let qb = QuantizedMatrix::from_weights(&b, n, n);
 
             let naive = time_per_call(|| kernels::matmul_naive(&a, &b, &mut out, n, n, n));
             let blocked = time_per_call(|| kernels::matmul(&a, &b, &mut out, n, n, n));
-            let fast = time_per_call(|| kernels::matmul_fast(&a, &b, &mut out, n, n, n));
-            let q8 = time_per_call(|| rtp_tensor::simd::matmul_q8(&a, &qb, &mut out, n, n, n));
             let grad_a = time_per_call(|| {
                 acc.iter_mut().for_each(|x| *x = 0.0);
                 kernels::matmul_grad_a(&a, &b, &mut acc, n, n, n);
@@ -101,14 +95,12 @@ fn kernel_sweep() -> Vec<KernelRow> {
                 blocked_gflops: flops / blocked / 1e9,
                 grad_a_gflops: flops / grad_a / 1e9,
                 grad_b_gflops: flops / grad_b / 1e9,
-                fast_gflops: flops / fast / 1e9,
-                q8_gflops: flops / q8 / 1e9,
                 speedup: naive / blocked,
             };
             println!(
-                "n={:>3}: naive {:>6.2} GF/s  blocked {:>6.2} GF/s  ({:.2}x)  fast {:>6.2}  q8 {:>6.2}  gA {:>6.2}  gB {:>6.2}",
-                row.n, row.naive_gflops, row.blocked_gflops, row.speedup, row.fast_gflops,
-                row.q8_gflops, row.grad_a_gflops, row.grad_b_gflops
+                "n={:>3}: naive {:>6.2} GF/s  blocked {:>6.2} GF/s  ({:.2}x)  gA {:>6.2}  gB {:>6.2}",
+                row.n, row.naive_gflops, row.blocked_gflops, row.speedup, row.grad_a_gflops,
+                row.grad_b_gflops
             );
             row
         })
@@ -167,7 +159,7 @@ fn op_profile() -> (usize, Vec<String>) {
     let dataset = bench_dataset();
     let model = bench_model(&dataset);
     let before = rtp_obs::metrics::global().snapshot();
-    let mut tape = model.inference_tape(Numerics::Exact);
+    let mut tape = Tape::inference();
     let queries = dataset.test.len().min(32);
     for s in dataset.test.iter().take(queries) {
         let courier = &dataset.couriers[s.query.courier_id];
@@ -268,9 +260,9 @@ fn main() {
         .iter()
         .map(|r| {
             format!(
-                "    {{\"n\": {}, \"naive_gflops\": {:.3}, \"blocked_gflops\": {:.3}, \"speedup\": {:.3}, \"grad_a_gflops\": {:.3}, \"grad_b_gflops\": {:.3}, \"fast_gflops\": {:.3}, \"q8_gflops\": {:.3}}}",
+                "    {{\"n\": {}, \"naive_gflops\": {:.3}, \"blocked_gflops\": {:.3}, \"speedup\": {:.3}, \"grad_a_gflops\": {:.3}, \"grad_b_gflops\": {:.3}}}",
                 r.n, r.naive_gflops, r.blocked_gflops, r.speedup, r.grad_a_gflops,
-                r.grad_b_gflops, r.fast_gflops, r.q8_gflops
+                r.grad_b_gflops
             )
         })
         .collect();

@@ -78,14 +78,8 @@ fn extract_metrics(bench: &str, v: &Value) -> BTreeMap<String, f64> {
         "tensor_kernels" => {
             for row in v.get("matmul_sweep").and_then(Value::as_array).unwrap_or_default() {
                 if let Some(n) = get_u64(row, "n") {
-                    for key in [
-                        "naive_gflops",
-                        "blocked_gflops",
-                        "grad_a_gflops",
-                        "grad_b_gflops",
-                        "fast_gflops",
-                        "q8_gflops",
-                    ] {
+                    for key in ["naive_gflops", "blocked_gflops", "grad_a_gflops", "grad_b_gflops"]
+                    {
                         if let Some(x) = get_num(row, key) {
                             m.insert(format!("matmul.n{n}.{key}"), x);
                         }
@@ -124,11 +118,14 @@ fn extract_metrics(bench: &str, v: &Value) -> BTreeMap<String, f64> {
                 else {
                     continue;
                 };
+                // Rows written before the numerics tiers were removed
+                // carry a `numerics` field; every newer row is exact,
+                // so the fallback keeps metric names stable.
                 let numerics =
                     row.get("numerics").and_then(Value::as_str).unwrap_or("exact").to_string();
-                // The swap arm measures the same (workers, batch,
-                // numerics) point as a plain arm — suffix its tag so
-                // the two don't collide in the history/baseline.
+                // The swap arm measures the same (workers, batch)
+                // point as a plain arm — suffix its tag so the two
+                // don't collide in the history/baseline.
                 let reload = if get_u64(row, "reloads").unwrap_or(0) > 0 { ".reload" } else { "" };
                 let tag = format!("w{w}.b{b}.{numerics}{reload}");
                 for key in ["requests_per_sec", "p50_us", "p99_us"] {
@@ -312,17 +309,13 @@ fn headline(bench: &str) -> Vec<&'static str> {
             "matmul.n128.blocked_gflops",
             "matmul.n128.grad_a_gflops",
             "matmul.n128.grad_b_gflops",
-            "matmul.n128.fast_gflops",
-            "matmul.n128.q8_gflops",
             "tape_reuse.reused_passes_per_sec",
         ],
         "training_throughput" => vec!["threads1.samples_per_sec", "threads2.samples_per_sec"],
         "serve_throughput" => vec![
             "w1.b1.exact.requests_per_sec",
             "w1.b8.exact.requests_per_sec",
-            "w1.b1.quantized.requests_per_sec",
             "w1.b1.exact.p50_us",
-            "w1.b1.quantized.p50_us",
         ],
         _ => vec![],
     }

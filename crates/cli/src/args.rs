@@ -60,8 +60,6 @@ pub enum Command {
         model: String,
         /// Dataset JSON path.
         dataset: String,
-        /// Numerics tier: "exact", "fast" or "quantized".
-        numerics: String,
     },
     /// Serve one or more model shards over TCP (newline-delimited
     /// JSON).
@@ -74,9 +72,6 @@ pub enum Command {
         models: Vec<(String, String)>,
         /// Dataset JSON path (city/fleet context).
         dataset: String,
-        /// Connection front end: "evented" (epoll reactor, default) or
-        /// "threaded" (legacy blocking acceptor).
-        frontend: String,
         /// TCP port (0 = ephemeral).
         port: u16,
         /// Maximum requests to serve before exiting (0 = forever).
@@ -91,8 +86,6 @@ pub enum Command {
         batch_max: usize,
         /// Micro-batch collection window, microseconds.
         batch_window_us: u64,
-        /// Numerics tier: "exact", "fast" or "quantized".
-        numerics: String,
         /// Periodic Prometheus snapshot path (empty = off).
         metrics_file: String,
         /// Snapshot period for `metrics_file`, seconds (0 = 5 s default).
@@ -150,11 +143,10 @@ USAGE:
   rtp train    --dataset <dataset.json> [--epochs N] [--variant V] [--seed N] [--threads N] [--log-json spans.jsonl]
                [--checkpoint-dir DIR] [--resume] --out <model.json>
   rtp predict  --model <model.json> --dataset <dataset.json> --sample <idx> [--beam W]
-  rtp evaluate --model <model.json> --dataset <dataset.json> [--numerics exact|fast|quantized]
+  rtp evaluate --model <model.json> --dataset <dataset.json>
   rtp serve    --model <model.json> --dataset <dataset.json> [--port P] [--max-requests N]
-               [--workers N] [--frontend evented|threaded] [--idle-timeout-secs S]
-               [--allow-shutdown] [--batch-max N] [--batch-window-us U]
-               [--numerics exact|fast|quantized] [--metrics-file PATH]
+               [--workers N] [--idle-timeout-secs S] [--allow-shutdown]
+               [--batch-max N] [--batch-window-us U] [--metrics-file PATH]
                [--metrics-interval-secs S] [--flight-dump PATH]
   rtp online   --model <model.json> --dataset <dataset.json> --addr <host:port> --out <model.json>
                [--shard NAME] [--rounds N] [--epochs-per-round N] [--seed N] [--threads N]
@@ -228,7 +220,6 @@ pub fn parse(args: &[&str]) -> Result<Cli, ParseError> {
     let mut out = String::new();
     let mut dataset = String::new();
     let mut models: Vec<String> = Vec::new();
-    let mut frontend = "evented".to_string();
     let mut epochs = 0usize;
     let mut threads = 0usize;
     let mut variant = "full".to_string();
@@ -244,7 +235,6 @@ pub fn parse(args: &[&str]) -> Result<Cli, ParseError> {
     let mut log_json = String::new();
     let mut checkpoint_dir = String::new();
     let mut resume = false;
-    let mut numerics = "exact".to_string();
     let mut metrics_file = String::new();
     let mut metrics_interval_secs = 0u64;
     let mut flight_dump = String::new();
@@ -263,14 +253,6 @@ pub fn parse(args: &[&str]) -> Result<Cli, ParseError> {
             // Repeatable for `serve` (shards); single-valued commands
             // take the last occurrence, the historical behaviour.
             "--model" => models.push(v(&mut it)?),
-            "--frontend" => {
-                frontend = v(&mut it)?;
-                if !["evented", "threaded"].contains(&frontend.as_str()) {
-                    return Err(ParseError(format!(
-                        "unknown frontend `{frontend}` (evented|threaded)"
-                    )));
-                }
-            }
             "--epochs" => {
                 epochs = v(&mut it)?.parse().map_err(|_| ParseError("bad --epochs".into()))?
             }
@@ -320,14 +302,6 @@ pub fn parse(args: &[&str]) -> Result<Cli, ParseError> {
             "--epochs-per-round" => {
                 epochs_per_round =
                     v(&mut it)?.parse().map_err(|_| ParseError("bad --epochs-per-round".into()))?
-            }
-            "--numerics" => {
-                numerics = v(&mut it)?;
-                if !["exact", "fast", "quantized"].contains(&numerics.as_str()) {
-                    return Err(ParseError(format!(
-                        "unknown numerics tier `{numerics}` (exact|fast|quantized)"
-                    )));
-                }
             }
             other => return Err(ParseError(format!("unknown flag `{other}`"))),
         }
@@ -385,7 +359,7 @@ pub fn parse(args: &[&str]) -> Result<Cli, ParseError> {
         "evaluate" => {
             require("model", &model)?;
             require("dataset", &dataset)?;
-            Command::Evaluate { model, dataset, numerics }
+            Command::Evaluate { model, dataset }
         }
         "serve" => {
             require("model", &model)?;
@@ -399,7 +373,6 @@ pub fn parse(args: &[&str]) -> Result<Cli, ParseError> {
             Command::Serve {
                 models: parse_shard_models(&models)?,
                 dataset,
-                frontend,
                 port,
                 max_requests,
                 workers,
@@ -407,7 +380,6 @@ pub fn parse(args: &[&str]) -> Result<Cli, ParseError> {
                 allow_shutdown,
                 batch_max,
                 batch_window_us,
-                numerics,
                 metrics_file,
                 metrics_interval_secs,
                 flight_dump,
@@ -682,36 +654,11 @@ mod tests {
     }
 
     #[test]
-    fn parses_numerics_flag() {
-        // Default is the bit-exact tier on both subcommands.
-        let cli = parse(&["evaluate", "--model", "m", "--dataset", "d"]).unwrap();
-        assert!(
-            matches!(cli.command, Command::Evaluate { ref numerics, .. } if numerics == "exact")
-        );
-        let cli = parse(&["serve", "--model", "m", "--dataset", "d"]).unwrap();
-        assert!(matches!(cli.command, Command::Serve { ref numerics, .. } if numerics == "exact"));
-
-        for tier in ["exact", "fast", "quantized"] {
-            let cli =
-                parse(&["serve", "--model", "m", "--dataset", "d", "--numerics", tier]).unwrap();
-            assert!(matches!(cli.command, Command::Serve { ref numerics, .. } if numerics == tier));
-            let cli =
-                parse(&["evaluate", "--model", "m", "--dataset", "d", "--numerics", tier]).unwrap();
-            assert!(
-                matches!(cli.command, Command::Evaluate { ref numerics, .. } if numerics == tier)
-            );
-        }
-        assert!(parse(&["serve", "--model", "m", "--dataset", "d", "--numerics", "f16"]).is_err());
-        assert!(parse(&["serve", "--model", "m", "--dataset", "d", "--numerics"]).is_err());
-    }
-
-    #[test]
     fn serve_single_bare_model_is_the_default_shard() {
         let cli = parse(&["serve", "--model", "m.json", "--dataset", "d.json"]).unwrap();
         match cli.command {
-            Command::Serve { models, frontend, .. } => {
+            Command::Serve { models, .. } => {
                 assert_eq!(models, vec![("default".to_string(), "m.json".to_string())]);
-                assert_eq!(frontend, "evented", "epoll front end is the default");
             }
             other => panic!("wrong command {other:?}"),
         }
@@ -765,14 +712,14 @@ mod tests {
     }
 
     #[test]
-    fn parses_frontend_flag() {
-        for fe in ["evented", "threaded"] {
-            let cli =
-                parse(&["serve", "--model", "m", "--dataset", "d", "--frontend", fe]).unwrap();
-            assert!(matches!(cli.command, Command::Serve { ref frontend, .. } if frontend == fe));
+    fn numerics_and_frontend_are_unknown_flags() {
+        for (flag, value) in [("--numerics", "exact"), ("--frontend", "evented")] {
+            let err = parse(&["serve", "--model", "m", "--dataset", "d", flag, value]).unwrap_err();
+            assert_eq!(err.0, format!("unknown flag `{flag}`"));
         }
-        assert!(parse(&["serve", "--model", "m", "--dataset", "d", "--frontend", "poll"]).is_err());
-        assert!(parse(&["serve", "--model", "m", "--dataset", "d", "--frontend"]).is_err());
+        let err = parse(&["evaluate", "--model", "m", "--dataset", "d", "--numerics", "exact"])
+            .unwrap_err();
+        assert_eq!(err.0, "unknown flag `--numerics`");
     }
 
     #[test]

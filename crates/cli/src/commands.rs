@@ -150,18 +150,17 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> std::io::Result<i3
             )?;
             Ok(0)
         }
-        Command::Evaluate { model, dataset, numerics } => {
+        Command::Evaluate { model, dataset } => {
             let dataset = load_dataset(&dataset)?;
             let model = load_model(&model)?;
-            let numerics = parse_numerics(&numerics);
             let mut racc = RouteMetricAccumulator::new();
             let mut tacc = TimeMetricAccumulator::new();
             for s in &dataset.test {
-                let p = model.predict_sample_with(&dataset, s, numerics);
+                let p = model.predict_sample(&dataset, s);
                 racc.add(&p.route, &s.truth.route);
                 tacc.add(&p.times, &s.truth.arrival, s.query.num_locations());
             }
-            writeln!(out, "test split: {} samples ({} numerics)", dataset.test.len(), numerics)?;
+            writeln!(out, "test split: {} samples", dataset.test.len())?;
             for b in Bucket::ALL {
                 if let (Some(r), Some(t)) = (racc.finish(b), tacc.finish(b)) {
                     writeln!(
@@ -179,12 +178,10 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> std::io::Result<i3
             port,
             max_requests,
             workers,
-            frontend,
             idle_timeout_secs,
             allow_shutdown,
             batch_max,
             batch_window_us,
-            numerics,
             metrics_file,
             metrics_interval_secs,
             flight_dump,
@@ -197,22 +194,15 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> std::io::Result<i3
                 // through the hot-swap machinery.
                 shards.push(serve::ShardSpec::with_path(name, model, path));
             }
-            let frontend = match frontend.as_str() {
-                "threaded" => serve::FrontEnd::Threaded,
-                "evented" => serve::FrontEnd::Evented,
-                other => unreachable!("parser rejects frontend {other}"),
-            };
             let opts = serve::ServeOptions {
                 port,
                 max_requests,
                 workers,
-                frontend,
                 idle_timeout: (idle_timeout_secs > 0)
                     .then(|| std::time::Duration::from_secs(idle_timeout_secs)),
                 allow_shutdown,
                 batch_max,
                 batch_window: std::time::Duration::from_micros(batch_window_us),
-                numerics: parse_numerics(&numerics),
                 metrics_file: (!metrics_file.is_empty()).then_some(metrics_file),
                 metrics_interval: std::time::Duration::from_secs(metrics_interval_secs),
                 flight_dump: (!flight_dump.is_empty()).then_some(flight_dump),
@@ -260,10 +250,6 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> std::io::Result<i3
             Ok(0)
         }
     }
-}
-
-fn parse_numerics(s: &str) -> rtp_tensor::Numerics {
-    s.parse().unwrap_or_else(|e| unreachable!("parser validated --numerics: {e}"))
 }
 
 fn load_dataset(path: &str) -> std::io::Result<Dataset> {

@@ -6,10 +6,10 @@
 //!
 //! # Why a readiness loop
 //!
-//! The thread-per-connection front end spends a worker thread (and a
-//! 50 ms polling read timeout) per open connection, which caps the
-//! server at "workers" concurrent clients and burns wakeups while they
-//! idle. Here the reactor owns *all* sockets: an idle connection costs
+//! A thread-per-connection front end spends a worker thread (and a
+//! polling read timeout) per open connection, which caps the server at
+//! "workers" concurrent clients and burns wakeups while they idle.
+//! Here the reactor owns *all* sockets: an idle connection costs
 //! one `epoll` registration and a ~100-byte [`EvConn`] — no thread, no
 //! timer churn — so thousands of open-but-quiet couriers are free, and
 //! the worker pool only ever sees connections that have a complete
@@ -25,7 +25,8 @@
 //!   that survive partial reads — a client may dribble one request
 //!   byte-per-write across many readiness events and the line is
 //!   assembled exactly once, with UTF-8 validated per completed line
-//!   (matching the blocking front end's `read_line` semantics).
+//!   and every line capped at [`MAX_LINE_BYTES`], so a client that
+//!   never sends a newline cannot grow server memory without bound.
 //! * **Dispatch** ([`EvConn`]): completed lines are queued on the
 //!   connection; the *first* line to land on an unclaimed connection
 //!   sends the connection handle to the worker pool, and the claiming
@@ -303,10 +304,17 @@ impl TimerWheel {
 // Per-connection line assembly
 // ---------------------------------------------------------------------------
 
+/// Longest request line (terminator excluded) a connection may send.
+/// The largest query line of a generated quick or full dataset is
+/// about 2.7 KB; a longer line is refused like invalid UTF-8, so the
+/// reactor closes that connection and counts it in `conn_error`.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
 /// Accumulates raw socket bytes and yields complete `\n`-terminated
 /// lines; a partial trailing line survives until more bytes (or EOF)
-/// arrive. UTF-8 is validated per completed line so the error maps to
-/// exactly one connection, like the blocking front end's `read_line`.
+/// arrive. UTF-8 and the [`MAX_LINE_BYTES`] cap are checked per line
+/// so either error maps to exactly one connection; the buffer never
+/// holds more than the cap.
 #[derive(Default)]
 pub struct LineBuffer {
     partial: Vec<u8>,
@@ -315,13 +323,14 @@ pub struct LineBuffer {
 impl LineBuffer {
     /// Feeds one chunk of socket bytes; returns every line completed by
     /// it (without the terminator). `Err` means a completed line was
-    /// not valid UTF-8 — an I/O-class error for the caller to count.
+    /// not valid UTF-8 or a line outgrew [`MAX_LINE_BYTES`] — an
+    /// I/O-class error for the caller to count.
     pub fn push(&mut self, bytes: &[u8]) -> std::io::Result<Vec<String>> {
         let mut lines = Vec::new();
         let mut rest = bytes;
         while let Some(pos) = rest.iter().position(|&b| b == b'\n') {
             let (head, tail) = rest.split_at(pos);
-            self.partial.extend_from_slice(head);
+            self.extend_partial(head)?;
             rest = &tail[1..];
             let raw = std::mem::take(&mut self.partial);
             let line = String::from_utf8(raw).map_err(|_| {
@@ -329,8 +338,21 @@ impl LineBuffer {
             })?;
             lines.push(line);
         }
-        self.partial.extend_from_slice(rest);
+        self.extend_partial(rest)?;
         Ok(lines)
+    }
+
+    /// Appends bytes to the line being assembled, refusing any that
+    /// would take it past [`MAX_LINE_BYTES`].
+    fn extend_partial(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        if self.partial.len() + bytes.len() > MAX_LINE_BYTES {
+            return Err(std::io::Error::new(
+                ErrorKind::InvalidData,
+                "request line exceeds the 64 KiB limit",
+            ));
+        }
+        self.partial.extend_from_slice(bytes);
+        Ok(())
     }
 
     /// Flushes the trailing unterminated line at EOF, if any.
@@ -561,8 +583,7 @@ struct ConnIo {
 
 /// Reactor tick granularity: the timer wheel's resolution (idle reaps
 /// land within one tick after the deadline) and the fairness cap
-/// period. Chosen to match the old front end's polling interval so
-/// test timing envelopes carry over.
+/// period.
 const TICK: Duration = Duration::from_millis(50);
 
 /// Per-readiness-event read budget before yielding back to the loop
@@ -573,8 +594,8 @@ const READ_CHUNKS_PER_EVENT: usize = 16;
 const LISTENER_TOKEN: u64 = 0;
 
 /// Runs the evented accept/read loop until shutdown. Blocks the
-/// calling thread (the serve front end runs it where the blocking
-/// acceptor used to live). Returns `Err` only for reactor-fatal
+/// calling thread (the serve layer runs it on the thread that called
+/// `serve`). Returns `Err` only for reactor-fatal
 /// conditions (epoll itself failing), never for per-connection trouble.
 pub fn run(
     listener: &TcpListener,
@@ -815,6 +836,46 @@ mod tests {
         assert!(lb.push(b"\n").is_err());
         // The buffer recovers for the next line.
         assert_eq!(lb.push(b"ok\n").unwrap(), vec!["ok".to_string()]);
+    }
+
+    #[test]
+    fn line_buffer_caps_a_line_at_max_line_bytes() {
+        // A line of exactly the cap is accepted, whether it arrives in
+        // one chunk or dribbled in many.
+        let full = vec![b'x'; MAX_LINE_BYTES];
+        let mut lb = LineBuffer::default();
+        assert!(lb.push(&full).unwrap().is_empty());
+        assert_eq!(lb.pending(), MAX_LINE_BYTES);
+        let lines = lb.push(b"\nnext").unwrap();
+        assert_eq!(lines.len(), 1);
+        assert_eq!(lines[0].len(), MAX_LINE_BYTES);
+        assert_eq!(lb.pending(), 4);
+
+        let mut lb = LineBuffer::default();
+        for chunk in full.chunks(4096) {
+            assert!(lb.push(chunk).unwrap().is_empty());
+            assert!(lb.pending() <= MAX_LINE_BYTES);
+        }
+        assert_eq!(lb.push(b"\n").unwrap()[0].len(), MAX_LINE_BYTES);
+
+        // One byte more is refused, and the buffer never grows past
+        // the cap: not when the byte completes the line, not when it
+        // lands on a partial.
+        let mut lb = LineBuffer::default();
+        let mut over = full.clone();
+        over.extend_from_slice(b"x\n");
+        assert!(lb.push(&over).is_err());
+        assert!(lb.pending() <= MAX_LINE_BYTES);
+
+        let mut lb = LineBuffer::default();
+        assert!(lb.push(&full).unwrap().is_empty());
+        assert!(lb.push(b"x").is_err());
+        assert_eq!(lb.pending(), MAX_LINE_BYTES);
+        let mut lb = LineBuffer::default();
+        for _ in 0..64 {
+            let _ = lb.push(&[b'y'; 4096]);
+            assert!(lb.pending() <= MAX_LINE_BYTES);
+        }
     }
 
     #[test]

@@ -5,31 +5,22 @@
 //!
 //! # Concurrency model
 //!
-//! Two front ends feed one fixed pool of worker threads (`--workers
-//! N`, `0` = all cores, the same std-thread scaffolding as
-//! `rtp_tensor::parallel`):
+//! One reactor thread multiplexes *every* client socket through a
+//! hand-rolled epoll readiness loop ([`crate::evented`]) — nonblocking
+//! accept, per-connection read buffers with partial-line preservation,
+//! idle reaping via a timer wheel — and hands connections with
+//! complete request lines to one fixed pool of worker threads
+//! (`--workers N`, `0` = all cores, the same std-thread scaffolding as
+//! `rtp_tensor::parallel`). An idle connection costs an epoll
+//! registration, not a thread, so 10k open couriers are as cheap as 10.
 //!
-//! * **evented** (the default): one reactor thread multiplexes *every*
-//!   client socket through a hand-rolled epoll readiness loop
-//!   ([`crate::evented`]) — nonblocking accept, per-connection read
-//!   buffers with partial-line preservation, idle reaping via a timer
-//!   wheel — and hands connections with complete request lines to the
-//!   pool. An idle connection costs an epoll registration, not a
-//!   thread, so 10k open couriers are as cheap as 10.
-//! * **threaded** (`--frontend threaded`): the legacy blocking
-//!   acceptor that dispatches whole connections to the pool, one
-//!   worker per live connection. Retained both as the fallback and as
-//!   the in-process twin for byte-identity testing of the reactor.
-//!
-//! In both, each worker owns its **own** [`RtpService`] per shard —
-//! one pooled no-grad tape per (worker, shard) lane — over shared
-//! read-only `Arc<M2G4Rtp>`s, so inference never contends on a global
-//! mutex and per-worker tape reuse cannot change numerics
-//! (cleared-tape reuse is bit-identical to a fresh tape). Replies on
-//! one connection keep request order under either front end: the
-//! threaded path is sequential per connection, and the evented path
-//! enforces a per-connection claim (at most one worker drains a
-//! connection's line queue at a time).
+//! Each worker owns its **own** [`RtpService`] per shard — one pooled
+//! no-grad tape per (worker, shard) lane — over shared read-only
+//! `Arc<M2G4Rtp>`s, so inference never contends on a global mutex and
+//! per-worker tape reuse cannot change numerics (cleared-tape reuse is
+//! bit-identical to a fresh tape). Replies on one connection keep
+//! request order: a per-connection claim lets at most one worker drain
+//! a connection's line queue at a time.
 //!
 //! # Shard router (`--model [NAME=]PATH`, repeatable)
 //!
@@ -116,16 +107,14 @@
 //!   that connection and increments `serve.panics`; the worker's tape
 //!   mutex recovers by swapping in a fresh tape;
 //! * a client idle longer than `--idle-timeout-secs` is reaped
-//!   (`serve.timeouts`) — by the reactor's timer wheel on the evented
-//!   front end, by a polling read timeout on the threaded one;
-//! * an accepted connection that cannot be handed to the pool because
-//!   the pool already drained (a shutdown race) is counted as
-//!   `serve.dropped_accepts` and answered with a best-effort
-//!   `shutting down` error line instead of vanishing silently;
-//! * the self-connect poke that wakes a blocked front end at shutdown
-//!   is structurally excluded from connection accounting (both front
-//!   ends check the shutdown flag before dispatching an accepted
-//!   socket), so `serve.connections` counts real clients only;
+//!   (`serve.timeouts`) by the reactor's timer wheel;
+//! * a connection whose request lines cannot be handed to the pool
+//!   because the pool already drained (a shutdown race) is closed and
+//!   counted as `serve.dropped_accepts` instead of vanishing silently;
+//! * the self-connect poke that wakes the reactor at shutdown is
+//!   structurally excluded from connection accounting (the reactor
+//!   checks the shutdown flag before registering an accepted socket),
+//!   so `serve.connections` counts real clients only;
 //! * shutdown is graceful: when `--max-requests` is reached or an
 //!   in-band `{"cmd":"shutdown"}` arrives (only honoured with
 //!   `--allow-shutdown`), the acceptor stops, in-flight requests
@@ -215,11 +204,11 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, SendError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -232,12 +221,10 @@ use rtp_obs::metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, S
 use rtp_obs::{flight, StageBreakdown, TraceCtx};
 use rtp_sim::{Dataset, RtpQuery};
 use rtp_tensor::parallel::resolve_threads;
-use rtp_tensor::Numerics;
 use serde::{Deserialize, Serialize};
 
-/// How often a blocked connection read wakes up to check the shutdown
-/// flag and the idle deadline. Partial lines survive across polls (the
-/// bytes stay in the `read_line` buffer).
+/// How often an idle worker, the SIGHUP watcher and the metrics-file
+/// writer wake up to re-check the overflow queue or the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// One served prediction, mirroring the two application-layer products
@@ -353,35 +340,11 @@ impl StatsReply {
     }
 }
 
-/// Which connection front end feeds the worker pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FrontEnd {
-    /// One epoll reactor thread multiplexes every socket
-    /// ([`crate::evented`]); idle connections cost no threads.
-    #[default]
-    Evented,
-    /// The legacy blocking acceptor: one pooled worker per live
-    /// connection, polling reads. Kept as fallback and as the
-    /// byte-identity twin for the reactor.
-    Threaded,
-}
-
-impl std::fmt::Display for FrontEnd {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            FrontEnd::Evented => "evented",
-            FrontEnd::Threaded => "threaded",
-        })
-    }
-}
-
 /// Server configuration (`rtp serve` flags).
 #[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
     /// TCP port (0 = ephemeral).
     pub port: u16,
-    /// Connection front end (`--frontend`): epoll reactor by default.
-    pub frontend: FrontEnd,
     /// Total replies to send before shutting down (0 = forever).
     pub max_requests: usize,
     /// Worker-pool size (0 = all cores).
@@ -398,10 +361,6 @@ pub struct ServeOptions {
     /// How long the inference engine waits after a micro-batch's first
     /// job for more jobs to join it.
     pub batch_window: Duration,
-    /// Numerics tier for the inference tapes (`--numerics`). Replies
-    /// from non-default tiers are tagged with a `"numerics"` field so
-    /// clients can tell approximate answers from bit-exact ones.
-    pub numerics: Numerics,
     /// Write the merged registry as Prometheus text exposition to this
     /// path (atomically) every `metrics_interval`, plus once at startup
     /// and shutdown. `None` disables the writer.
@@ -431,9 +390,8 @@ struct ServeMetrics {
     conn_errors: Arc<Counter>,
     panics: Arc<Counter>,
     timeouts: Arc<Counter>,
-    /// Accepted sockets the front end could not hand to the worker
-    /// pool (drain race at shutdown): closed with a best-effort error
-    /// line, never silently.
+    /// Connections the reactor could not hand to the worker pool
+    /// (drain race at shutdown): closed and counted, never silently.
     dropped_accepts: Arc<Counter>,
     /// Trace-id segment rollovers across all connections (a connection
     /// pipelining more than 2^20 requests rolls into a fresh id
@@ -450,13 +408,6 @@ struct ServeMetrics {
     pool_hits: Arc<Gauge>,
     pool_misses: Arc<Gauge>,
     pool_hit_rate: Arc<Gauge>,
-    /// Per-numerics-tier ok-prediction counters
-    /// (`serve.requests.{exact,fast,quantized}`); all three are
-    /// registered up front so the stats reply always carries the full
-    /// tier breakdown.
-    req_exact: Arc<Counter>,
-    req_fast: Arc<Counter>,
-    req_quantized: Arc<Counter>,
     /// Stage-latency histograms (`serve.stage.<name>_us`), indexed in
     /// [`StageBreakdown::NAMES`] order: queue_wait, batch_form,
     /// forward, demux, write. Recorded for every ok prediction.
@@ -495,9 +446,6 @@ impl ServeMetrics {
             pool_hits: registry.gauge("tensor.pool.hits"),
             pool_misses: registry.gauge("tensor.pool.misses"),
             pool_hit_rate: registry.gauge("tensor.pool.hit_rate"),
-            req_exact: registry.counter("serve.requests.exact"),
-            req_fast: registry.counter("serve.requests.fast"),
-            req_quantized: registry.counter("serve.requests.quantized"),
             stages: StageBreakdown::NAMES
                 .map(|name| registry.histogram(&format!("serve.stage.{name}_us"))),
             reload_count: registry.counter("serve.reload.count"),
@@ -670,11 +618,10 @@ struct ServerShared {
     /// `serve.active_connections` gauge).
     active: AtomicI64,
     shutdown: AtomicBool,
-    /// The listener's address, used to poke the blocking acceptor
-    /// awake when shutdown is triggered from a worker.
+    /// The listener's address, used to poke the reactor awake when
+    /// shutdown is triggered from a worker.
     addr: SocketAddr,
     max_requests: usize,
-    idle_timeout: Option<Duration>,
     allow_shutdown: bool,
     /// Tape buffer-pool totals summed across workers (each worker
     /// contributes deltas of its own service's stats).
@@ -702,7 +649,6 @@ impl ServerShared {
             shutdown: AtomicBool::new(false),
             addr,
             max_requests: opts.max_requests,
-            idle_timeout: opts.idle_timeout,
             allow_shutdown: opts.allow_shutdown,
             pool_hits: AtomicU64::new(0),
             pool_misses: AtomicU64::new(0),
@@ -751,8 +697,8 @@ impl ServerShared {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Flips the shutdown flag and wakes the acceptor with a no-op
-    /// connection so its blocking `accept` returns.
+    /// Flips the shutdown flag and wakes the reactor with a no-op
+    /// connection so its blocking `epoll_wait` returns.
     fn trigger_shutdown(&self) {
         if !self.shutdown.swap(true, Ordering::SeqCst) {
             let _ = TcpStream::connect(self.addr);
@@ -842,8 +788,6 @@ struct WorkerCtx<'a> {
     lanes: Vec<ShardLane>,
     dataset: &'a Dataset,
     shared: &'a ServerShared,
-    /// Numerics tier for lane (re)builds after a hot-swap.
-    numerics: Numerics,
     /// Replies written by this worker (`serve.worker.<i>.requests`).
     replies: Arc<Counter>,
     /// Last `(hits, misses)` reading of this worker's tape pools,
@@ -858,7 +802,6 @@ impl WorkerCtx<'_> {
         worker_id: usize,
         dataset: &'a Dataset,
         shared: &'a ServerShared,
-        numerics: Numerics,
         job_txs: &[Option<Sender<InferJob>>],
     ) -> WorkerCtx<'a> {
         let lanes = shared
@@ -868,7 +811,7 @@ impl WorkerCtx<'_> {
             .map(|(shard, tx)| {
                 let (version, model) = shard.generation();
                 ShardLane {
-                    service: RefCell::new(RtpService::with_numerics(model, numerics)),
+                    service: RefCell::new(RtpService::shared(model)),
                     version: Cell::new(version),
                     infer_tx: tx.clone(),
                 }
@@ -878,7 +821,6 @@ impl WorkerCtx<'_> {
             lanes,
             dataset,
             shared,
-            numerics,
             replies: shared.registry.counter(&format!("serve.worker.{worker_id}.requests")),
             pool_last: Cell::new((0, 0)),
         }
@@ -898,36 +840,9 @@ impl WorkerCtx<'_> {
             return (lane.version.get(), model);
         }
         let (version, model) = self.shared.shards[shard_idx].generation();
-        *lane.service.borrow_mut() = RtpService::with_numerics(Arc::clone(&model), self.numerics);
+        *lane.service.borrow_mut() = RtpService::shared(Arc::clone(&model));
         lane.version.set(version);
         (version, model)
-    }
-}
-
-/// One unit of worker-pool input, covering both front ends: a whole
-/// connection to own until it closes (threaded), or an evented
-/// connection whose queued lines are drained under its claim.
-enum WorkItem {
-    Conn(TcpStream, TraceCtx),
-    Ev(Arc<EvConn>),
-}
-
-/// Hands an accepted connection to the worker pool. On a drain race —
-/// the pool already exited and the channel is closed — the accepted
-/// socket would otherwise vanish with no counter and no reply: count
-/// it as `serve.dropped_accepts`, answer a best-effort error line, and
-/// report `false` so the acceptor stops.
-fn dispatch_accepted(tx: &Sender<WorkItem>, stream: TcpStream, shared: &ServerShared) -> bool {
-    match tx.send(WorkItem::Conn(stream, TraceCtx::at_accept())) {
-        Ok(()) => true,
-        Err(SendError(item)) => {
-            shared.metrics.dropped_accepts.inc();
-            if let WorkItem::Conn(mut stream, _) = item {
-                let _ = stream
-                    .write_all(b"{\"error\":\"server shutting down: dropped before dispatch\"}\n");
-            }
-            false
-        }
     }
 }
 
@@ -939,7 +854,7 @@ fn dispatch_accepted(tx: &Sender<WorkItem>, stream: TcpStream, shared: &ServerSh
 /// the exact-accounting tests assert `serve.connections == clients`.
 struct EventedSink<'a> {
     shared: &'a ServerShared,
-    tx: Sender<WorkItem>,
+    tx: Sender<Arc<EvConn>>,
 }
 
 impl EventSink for EventedSink<'_> {
@@ -968,7 +883,7 @@ impl EventSink for EventedSink<'_> {
     }
 
     fn dispatch(&self, conn: Arc<EvConn>) -> bool {
-        self.tx.send(WorkItem::Ev(conn)).is_ok()
+        self.tx.send(conn).is_ok()
     }
 }
 
@@ -990,7 +905,7 @@ pub fn serve(
 /// model per [`ShardSpec`], routes request lines by their optional
 /// `"city"` key (absent ⇒ the first shard), and gives every shard its
 /// own inference engine and encoder cache. All shards share the worker
-/// pool, the connection front end and the telemetry registry. When any
+/// pool, the reactor and the telemetry registry. When any
 /// spec carries a path, SIGHUP re-reads every path-ful shard's file
 /// through the hot-swap machinery.
 pub fn serve_sharded(
@@ -1059,15 +974,12 @@ pub fn serve_sharded(
             let shared = &shared;
             let window = opts.batch_window;
             let batch_max = opts.batch_max;
-            let numerics = opts.numerics;
-            scope.spawn(move || {
-                run_inference_engine(shard, rx, window, batch_max, numerics, shared)
-            });
+            scope.spawn(move || run_inference_engine(shard, rx, window, batch_max, shared));
         }
 
-        // The worker pool: one channel of WorkItems serves both front
-        // ends. std's Receiver is single-consumer; workers share it
-        // behind a mutex, each holding it only for one bounded `recv`.
+        // The worker pool: one channel of dispatched connections.
+        // std's Receiver is single-consumer; workers share it behind a
+        // mutex, each holding it only for one bounded `recv`.
         //
         // Next to the channel sits the overflow queue: a pipelining
         // connection that exhausts its drain quantum is parked here
@@ -1079,21 +991,20 @@ pub fn serve_sharded(
         // hold no clone of `tx` (that would keep the channel open and
         // deadlock the drop-the-sender shutdown), which is exactly why
         // the park space is a plain deque and not the channel itself.
-        let (tx, rx) = channel::<WorkItem>();
+        let (tx, rx) = channel::<Arc<EvConn>>();
         let rx = Arc::new(Mutex::new(rx));
         for worker_id in 0..workers {
             let rx = Arc::clone(&rx);
             let shared = &shared;
             let dataset = &dataset;
-            let numerics = opts.numerics;
             // Each worker clones the per-shard engine senders, so the
             // originals can drop below and tie engine lifetime to the
             // workers'.
             let worker_job_txs: Vec<Option<Sender<InferJob>>> = job_txs.to_vec();
             scope.spawn(move || {
-                let ctx = WorkerCtx::new(worker_id, dataset, shared, numerics, &worker_job_txs);
+                let ctx = WorkerCtx::new(worker_id, dataset, shared, &worker_job_txs);
                 enum Next {
-                    Item(WorkItem),
+                    Item(Arc<EvConn>),
                     Empty,
                     Closed,
                 }
@@ -1110,17 +1021,6 @@ pub fn serve_sharded(
                     },
                     Err(_) => Next::Closed,
                 };
-                let run_item = |item: WorkItem| match item {
-                    WorkItem::Conn(stream, trace) => {
-                        shared.conn_started();
-                        let result = handle_connection(&ctx, stream, trace);
-                        shared.conn_finished();
-                        if result.is_err() {
-                            shared.metrics.conn_errors.inc();
-                        }
-                    }
-                    WorkItem::Ev(conn) => drain_evented_conn(&ctx, &conn, overflow),
-                };
                 let next_parked = || overflow.lock().unwrap_or_else(|p| p.into_inner()).pop_front();
                 loop {
                     // Fresh channel work first: new connections and
@@ -1128,8 +1028,8 @@ pub fn serve_sharded(
                     // pipeliners (whose clients already have a full
                     // quantum of replies to chew on).
                     match recv_next(false) {
-                        Next::Item(item) => {
-                            run_item(item);
+                        Next::Item(conn) => {
+                            drain_evented_conn(&ctx, &conn, overflow);
                             continue;
                         }
                         Next::Closed => break,
@@ -1140,12 +1040,12 @@ pub fn serve_sharded(
                         drain_evented_conn(&ctx, &conn, overflow);
                         continue;
                     }
-                    // Idle: block until work arrives or the front end
+                    // Idle: block until work arrives or the reactor
                     // drops the sender (shutdown + queue drained). The
                     // timeout only re-checks the overflow queue, in
                     // case another worker parked a connection mid-wait.
                     match recv_next(true) {
-                        Next::Item(item) => run_item(item),
+                        Next::Item(conn) => drain_evented_conn(&ctx, &conn, overflow),
                         Next::Closed => break,
                         Next::Empty => {}
                     }
@@ -1216,37 +1116,10 @@ pub fn serve_sharded(
             });
         }
 
-        let result = match opts.frontend {
-            FrontEnd::Evented => {
-                // The reactor runs on this thread (where the blocking
-                // acceptor used to live) and owns `tx` through the
-                // sink; returning drops it, which drains the workers.
-                let sink = EventedSink { shared: &shared, tx };
-                evented::run(&listener, opts.idle_timeout, &sink)
-            }
-            FrontEnd::Threaded => {
-                // Legacy acceptor: dispatch whole connections until
-                // shutdown. The shutdown poke is consumed by the flag
-                // check before dispatch, so it is never counted.
-                for stream in listener.incoming() {
-                    if shared.shutting_down() {
-                        break;
-                    }
-                    match stream {
-                        Ok(s) => {
-                            if !dispatch_accepted(&tx, s, &shared) {
-                                break;
-                            }
-                        }
-                        Err(_) => shared.metrics.conn_errors.inc(),
-                    }
-                }
-                // Closing the channel lets idle workers exit; busy
-                // workers finish their in-flight connections (drain).
-                drop(tx);
-                Ok(())
-            }
-        };
+        // The reactor runs on this thread and owns `tx` through the
+        // sink; returning drops it, which drains the workers.
+        let sink = EventedSink { shared: &shared, tx };
+        let result = evented::run(&listener, opts.idle_timeout, &sink);
         // A reactor-fatal error must still release the snapshot-writer
         // thread (it polls the shutdown flag) so the scope can join.
         if result.is_err() {
@@ -1427,7 +1300,6 @@ fn run_inference_engine(
     jobs: Receiver<InferJob>,
     window: Duration,
     batch_max: usize,
-    numerics: Numerics,
     shared: &ServerShared,
 ) {
     // The engine's tape, tagged with the generation it was built for;
@@ -1472,7 +1344,7 @@ fn run_inference_engine(
         let version = batch[0].version;
         let mut run_tape = match tape.take() {
             Some((v, t)) if v == version => t,
-            _ => model.inference_tape(numerics),
+            _ => rtp_tensor::Tape::inference(),
         };
         let graphs: Vec<&MultiLevelGraph> = batch.iter().map(|j| &j.graph).collect();
         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -1514,133 +1386,6 @@ fn run_inference_engine(
                 // sees RecvError and answers an error line for its own
                 // request only.
                 drop(run_tape);
-            }
-        }
-    }
-}
-
-/// Reads one request line, polling so the shutdown flag and the idle
-/// deadline are honoured even while blocked. Partial lines accumulate
-/// in `buf` across polls (and across an actual mid-line stall).
-enum LineRead {
-    /// A complete (or final unterminated) line is in the buffer.
-    Line,
-    /// Clean end of stream, idle reap, or shutdown — close quietly.
-    Close,
-}
-
-fn read_request_line(
-    reader: &mut BufReader<TcpStream>,
-    buf: &mut String,
-    shared: &ServerShared,
-) -> std::io::Result<LineRead> {
-    buf.clear();
-    let mut last_progress = Instant::now();
-    loop {
-        let len_before = buf.len();
-        match reader.read_line(buf) {
-            Ok(0) => {
-                // EOF; any bytes from an earlier partial read are a
-                // final unterminated line.
-                return Ok(if buf.is_empty() { LineRead::Close } else { LineRead::Line });
-            }
-            Ok(_) => return Ok(LineRead::Line),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if buf.len() > len_before {
-                    last_progress = Instant::now();
-                }
-                if shared.shutting_down() {
-                    return Ok(LineRead::Close);
-                }
-                if let Some(idle) = shared.idle_timeout {
-                    if last_progress.elapsed() >= idle {
-                        shared.metrics.timeouts.inc();
-                        return Ok(LineRead::Close);
-                    }
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Handles one connection on a worker thread. Returns `Err` only for
-/// real I/O failures (client reset, broken pipe) — the caller counts
-/// those as `serve.conn_errors`; everything else (EOF, idle reap,
-/// budget exhaustion, handler panic) closes the connection cleanly.
-fn handle_connection(
-    ctx: &WorkerCtx<'_>,
-    stream: TcpStream,
-    mut trace: TraceCtx,
-) -> std::io::Result<()> {
-    // The polling read timeout doubles as the shutdown-responsiveness
-    // bound; `read_request_line` keeps partial lines across polls.
-    stream.set_read_timeout(Some(POLL_INTERVAL))?;
-    // NDJSON replies are small; without this, Nagle + delayed ACK adds
-    // ~40 ms per round trip on a pipelining client.
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut buf = String::new();
-    loop {
-        match read_request_line(&mut reader, &mut buf, ctx.shared)? {
-            LineRead::Close => return Ok(()),
-            LineRead::Line => {}
-        }
-        let line = buf.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if !ctx.shared.claim_reply() {
-            return Ok(()); // budget spent — close unanswered
-        }
-        let trace_id = next_trace_id(ctx.shared, &mut trace);
-        // Fault isolation: a panic anywhere in parse/predict/serialize
-        // must not unwind through the worker loop. The worker's tape
-        // mutex is poison-recovered by RtpService on the next request.
-        let reply = catch_unwind(AssertUnwindSafe(|| handle_line(ctx, line, trace_id)));
-        match reply {
-            Ok(Reply::Line(mut body, stages)) => {
-                body.push('\n');
-                // Count before the write lands: a client must never
-                // observe a reply whose counters haven't settled (the
-                // stats request relies on exact accounting).
-                ctx.replies.inc();
-                let wire_t0 = Instant::now();
-                writer.write_all(body.as_bytes())?;
-                writer.flush()?;
-                // The write-stage histogram covers serialization plus
-                // the socket write; the echoed breakdown stops at
-                // serialization (it is part of the written bytes).
-                if let Some(ser_us) = stages {
-                    let wire_us = wire_t0.elapsed().as_micros() as u64;
-                    ctx.shared.metrics.stages[4].record(ser_us + wire_us);
-                }
-                ctx.shared.after_reply();
-            }
-            Ok(Reply::ShutdownAck(mut body)) => {
-                body.push('\n');
-                ctx.replies.inc();
-                writer.write_all(body.as_bytes())?;
-                writer.flush()?;
-                ctx.shared.trigger_shutdown();
-                return Ok(());
-            }
-            Err(_) => {
-                ctx.shared.metrics.panics.inc();
-                flight::record(flight::Kind::Panic, "serve.worker", trace_id, || {
-                    format!("request handler panicked on line of {} byte(s)", line.len())
-                });
-                ctx.shared.dump_flight();
-                let mut err = serde_json::to_string(&ServeError {
-                    error: "internal error: request handler panicked; connection closed".into(),
-                })
-                .expect("serialise error");
-                err.push('\n');
-                // Best effort — the client may already be gone.
-                let _ = writer.write_all(err.as_bytes());
-                let _ = writer.flush();
-                return Ok(());
             }
         }
     }
@@ -1961,12 +1706,6 @@ fn handle_line(ctx: &WorkerCtx<'_>, line: &str, trace_id: u64) -> Reply {
             metrics.requests.inc();
             shard.requests.inc();
             metrics.record_stages(&stages);
-            let numerics = ctx.lanes[shard_idx].service.borrow().numerics();
-            match numerics {
-                Numerics::Exact => metrics.req_exact.inc(),
-                Numerics::Fast => metrics.req_fast.inc(),
-                Numerics::Quantized => metrics.req_quantized.inc(),
-            }
             flight::record(flight::Kind::Request, "serve.request", trace_id, || {
                 format!(
                     "courier={} orders={} shard={} latency_us={latency_us}",
@@ -1995,26 +1734,14 @@ fn handle_line(ctx: &WorkerCtx<'_>, line: &str, trace_id: u64) -> Reply {
             // Splice latency and the serving model version into the
             // serialized body ({"a":.. -> {"latency_ms":X,
             // "model_version":V,"a":..): field order is free in JSON.
-            // Non-default numerics tiers also tag the reply so a client
-            // can tell approximate answers apart.
-            match numerics {
-                Numerics::Exact => Reply::Line(
-                    format!(
-                        "{{\"latency_ms\":{latency_ms},\"model_version\":{model_version}\
-                         {trace_tag},{}",
-                        &body[1..]
-                    ),
-                    Some(ser_us),
+            Reply::Line(
+                format!(
+                    "{{\"latency_ms\":{latency_ms},\"model_version\":{model_version}\
+                     {trace_tag},{}",
+                    &body[1..]
                 ),
-                tier => Reply::Line(
-                    format!(
-                        "{{\"latency_ms\":{latency_ms},\"model_version\":{model_version},\
-                         \"numerics\":\"{tier}\"{trace_tag},{}",
-                        &body[1..]
-                    ),
-                    Some(ser_us),
-                ),
-            }
+                Some(ser_us),
+            )
         }
     }
 }
@@ -2135,30 +1862,10 @@ mod tests {
     }
 
     #[test]
-    fn drain_race_counts_dropped_accepts_and_answers_best_effort() {
-        let (listener, shared) = bare_shared();
-        let addr = shared.addr;
-        // A channel whose receiver is already gone models the worker
-        // pool having drained between accept and dispatch.
-        let (tx, rx) = channel::<WorkItem>();
-        drop(rx);
-        let mut client = TcpStream::connect(addr).expect("connect");
-        let (accepted, _) = listener.accept().expect("accept");
-        assert!(!dispatch_accepted(&tx, accepted, &shared), "drain race must stop the acceptor");
-        assert_eq!(shared.metrics.dropped_accepts.get(), 1, "dropped accept must be counted");
-        assert_eq!(shared.metrics.connections.get(), 0, "never dispatched, never a connection");
-        // The client gets a best-effort explanation, then EOF.
-        let mut reply = String::new();
-        use std::io::Read as _;
-        client.read_to_string(&mut reply).expect("read reply");
-        assert!(reply.contains("shutting down"), "best-effort error line, got: {reply:?}");
-    }
-
-    #[test]
     fn evented_dispatch_drain_race_counts_dropped_accepts() {
         let (listener, shared) = bare_shared();
         let addr = shared.addr;
-        let (tx, rx) = channel::<WorkItem>();
+        let (tx, rx) = channel::<Arc<EvConn>>();
         drop(rx);
         let sink = EventedSink { shared: &shared, tx };
         let _client = TcpStream::connect(addr).expect("connect");

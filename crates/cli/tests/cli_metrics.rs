@@ -37,7 +37,6 @@ fn metrics_command_returns_valid_prometheus_text() {
     // Exact traffic accounting in the exposition.
     assert!(m.metrics.contains("serve_requests 2\n"), "{}", m.metrics);
     assert!(m.metrics.contains("serve_errors 1\n"), "{}", m.metrics);
-    assert!(m.metrics.contains("serve_requests_exact 2\n"), "{}", m.metrics);
     // The queue_wait/forward stage split of the batched path is
     // visible as separate histogram families.
     assert!(m.metrics.contains("serve_stage_queue_wait_us_count 2\n"), "{}", m.metrics);

@@ -474,66 +474,3 @@ fn unknown_command_gets_named_reply_and_its_own_counter() {
     assert_eq!(stats.counters.get("serve.requests"), Some(&1));
     server.shutdown_summary();
 }
-
-/// `--numerics quantized` end to end: replies are tagged with the tier
-/// so clients can tell approximate answers from bit-exact ones, the
-/// default server's reply shape is unchanged (no tag), and against a
-/// twin exact server with the same weights the quantized routes are
-/// identical with per-stop ETAs inside the declared 0.5-minute budget.
-#[test]
-fn quantized_serving_is_tagged_and_within_accuracy_budget() {
-    let (dataset, model) = trained_model(197);
-    // Twin servers share one training run's weights, so every reply
-    // difference is attributable to the numerics tier alone.
-    let saved = model.to_saved();
-    let load = || M2G4Rtp::from_saved(saved.clone());
-
-    let exact_srv = start_server(
-        load(),
-        dataset.clone(),
-        ServeOptions { allow_shutdown: true, ..Default::default() },
-    );
-    let quant_srv = start_server(
-        load(),
-        dataset.clone(),
-        ServeOptions {
-            allow_shutdown: true,
-            numerics: rtp_tensor::Numerics::Quantized,
-            ..Default::default()
-        },
-    );
-
-    let mut ec = Client::connect(&exact_srv.addr);
-    let mut qc = Client::connect(&quant_srv.addr);
-    for k in 0..8 {
-        let line = query_line(&dataset, k);
-        let er = ec.round_trip(&line);
-        let qr = qc.round_trip(&line);
-        assert!(
-            !er.contains("\"numerics\""),
-            "default-tier replies must keep the untagged shape: {er}"
-        );
-        assert!(
-            qr.contains("\"numerics\":\"quantized\""),
-            "quantized replies must carry the tier tag: {qr}"
-        );
-        let n = dataset.test[k % dataset.test.len()].query.orders.len();
-        let e = assert_valid_prediction(&er, n);
-        let q = assert_valid_prediction(&qr, n);
-        assert_eq!(e.sorted_orders, q.sorted_orders, "quantized route differs from exact");
-        assert_eq!(e.aoi_sequence, q.aoi_sequence, "quantized AOI sequence differs from exact");
-        for (i, (ee, qe)) in e.eta_minutes.iter().zip(&q.eta_minutes).enumerate() {
-            assert!(
-                (ee - qe).abs() <= 0.5,
-                "stop {i}: quantized ETA {qe} vs exact {ee} exceeds the 0.5 min budget"
-            );
-        }
-    }
-
-    for (mut c, srv) in [(ec, exact_srv), (qc, quant_srv)] {
-        let ack = c.round_trip("{\"cmd\":\"shutdown\"}");
-        assert!(ack.contains("shutting down"), "{ack}");
-        drop(c);
-        srv.shutdown_summary();
-    }
-}

@@ -69,13 +69,12 @@ fn stats_request_reports_latency_percentiles_errors_and_pool_hit_rate() {
     assert!(summary.contains("p99"), "{summary}");
 }
 
-/// The batching/cache/tier metrics introduced alongside micro-batching
-/// must all round-trip through `{"cmd":"stats"}`: the `serve.batch_size`
-/// histogram with its percentiles, the `serve.cache.hit_rate` gauge,
-/// the `serve.unknown_cmds` counter, and the per-numerics-tier request
-/// counters.
+/// The batching/cache metrics introduced alongside micro-batching must
+/// all round-trip through `{"cmd":"stats"}`: the `serve.batch_size`
+/// histogram with its percentiles, the `serve.cache.hit_rate` gauge and
+/// the `serve.unknown_cmds` counter.
 #[test]
-fn stats_round_trip_batch_size_cache_rate_unknown_cmds_and_tiers() {
+fn stats_round_trip_batch_size_cache_rate_and_unknown_cmds() {
     let (dataset, model) = trained_model(172);
     // 2 predictions + 1 unknown command + 1 stats = 4 replies
     let opts = ServeOptions {
@@ -115,11 +114,7 @@ fn stats_round_trip_batch_size_cache_rate_unknown_cmds_and_tiers() {
     assert_eq!(stats.counters.get("serve.unknown_cmds"), Some(&1));
     assert_eq!(stats.counters.get("serve.errors"), Some(&0));
 
-    // Per-numerics-tier counters: all three registered, default tier
-    // counted both predictions.
-    assert_eq!(stats.counters.get("serve.requests.exact"), Some(&2));
-    assert_eq!(stats.counters.get("serve.requests.fast"), Some(&0));
-    assert_eq!(stats.counters.get("serve.requests.quantized"), Some(&0));
+    assert_eq!(stats.counters.get("serve.requests"), Some(&2));
 
     // The stage histograms ride along for every prediction.
     for name in rtp_obs::StageBreakdown::NAMES {

@@ -11,7 +11,8 @@ use std::time::Duration;
 
 use m2g4rtp::{M2G4Rtp, ModelConfig, TrainConfig, Trainer};
 use rtp_cli::serve::{serve, serve_sharded, ServeOptions, ShardSpec};
-use rtp_sim::{Dataset, DatasetBuilder, DatasetConfig};
+use rtp_eval::service::apply_prediction;
+use rtp_sim::{Dataset, DatasetBuilder, DatasetConfig, RtpQuery};
 
 /// A tiny trained model + its dataset (1 epoch; serving latency and
 /// protocol behaviour do not depend on convergence).
@@ -203,6 +204,26 @@ impl Client {
 /// The k-th test query as a request line.
 pub fn query_line(dataset: &Dataset, k: usize) -> String {
     serde_json::to_string(&dataset.test[k % dataset.test.len()].query).expect("serialise query")
+}
+
+/// The reply a freshly started server owes `line`, with `latency_ms`
+/// stripped as [`strip_latency`] does, computed by the library alone:
+/// `build_graph` → `predict` → `apply_prediction` → serialise. This is
+/// the byte-identity oracle for the serve path; `model_version` is 1,
+/// the first generation of a shard.
+pub fn library_reply(model: &M2G4Rtp, dataset: &Dataset, line: &str) -> String {
+    let query: RtpQuery = serde_json::from_str(line).expect("query line parses");
+    let courier = &dataset.couriers[query.courier_id];
+    let graph = model.build_graph(&dataset.city, courier, &query);
+    let app = apply_prediction(&query, &model.predict(&graph)).expect("prediction is aligned");
+    let etas: Vec<f32> = app.etas.iter().map(|e| e.eta_minutes).collect();
+    let json = |v: &dyn serde::Serialize| serde_json::to_string(v).expect("serialise");
+    format!(
+        "{{\"model_version\":1,\"sorted_orders\":{},\"aoi_sequence\":{},\"eta_minutes\":{}}}",
+        json(&app.sorted_orders),
+        json(&app.aoi_sequence),
+        json(&etas)
+    )
 }
 
 /// Strips the spliced `"latency_ms":X,` field so two replies to the

@@ -5,9 +5,8 @@
 use rtp_graph::{FeatureScaler, GraphBuilder, GraphConfig, MultiLevelGraph};
 use rtp_sim::{Courier, Dataset, RtpQuery, RtpSample};
 use rtp_tensor::nn::{positional_encoding, Embedding};
-use rtp_tensor::{Numerics, ParamId, ParamStore, QuantSet, Tape, TensorId};
+use rtp_tensor::{ParamId, ParamStore, Tape, TensorId};
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, OnceLock};
 
 use crate::config::{ModelConfig, Variant};
 use crate::decoder::{RouteDecoder, SortLstm};
@@ -102,12 +101,6 @@ pub struct M2G4Rtp {
     /// their heads) — the freeze boundary for two-step training.
     time_param_range: (usize, usize),
     pipeline: Option<Pipeline>,
-    /// Quantized parameter snapshot for `--numerics quantized`
-    /// inference, built lazily on first use. Taken once: quantized
-    /// serving assumes frozen weights (the §VI deployment flow —
-    /// train offline, package, serve), so training after the first
-    /// quantized prediction would serve stale i8 weights.
-    quant: OnceLock<Arc<QuantSet>>,
 }
 
 #[derive(Debug)]
@@ -233,7 +226,6 @@ impl M2G4Rtp {
             unc,
             time_param_range: (time_start, time_end),
             pipeline: None,
-            quant: OnceLock::new(),
         }
     }
 
@@ -494,25 +486,6 @@ impl M2G4Rtp {
         self.decode_levels(t, store, g, u, x_loc, x_aoi)
     }
 
-    /// The i8 quantized snapshot of this model's weight matrices,
-    /// built once on first request and shared by every quantized tape
-    /// afterwards (weights are frozen at serve time).
-    pub fn quant_set(&self) -> Arc<QuantSet> {
-        Arc::clone(self.quant.get_or_init(|| Arc::new(QuantSet::build(&self.store))))
-    }
-
-    /// A fresh no-grad tape configured for `numerics`, with the
-    /// model's quantized weights attached when the tier needs them.
-    /// This is the one constructor serve/eval paths should use so the
-    /// tier flag and the quant snapshot can never go out of sync.
-    pub fn inference_tape(&self, numerics: Numerics) -> Tape {
-        let mut t = Tape::inference_with(numerics);
-        if numerics == Numerics::Quantized {
-            t.attach_quant(self.quant_set());
-        }
-        t
-    }
-
     /// The shared greedy decode tail: AOI route/time decoding, the
     /// guidance pathway (Eq. 34) and the location decoders, starting
     /// from already-encoded node representations. Every inference entry
@@ -770,20 +743,9 @@ impl M2G4Rtp {
     /// Convenience: builds the graph for `sample` through the attached
     /// pipeline and predicts.
     pub fn predict_sample(&self, dataset: &Dataset, sample: &RtpSample) -> Prediction {
-        self.predict_sample_with(dataset, sample, Numerics::Exact)
-    }
-
-    /// [`M2G4Rtp::predict_sample`] under an explicit numerics tier
-    /// (`--numerics` on `rtp eval`).
-    pub fn predict_sample_with(
-        &self,
-        dataset: &Dataset,
-        sample: &RtpSample,
-        numerics: Numerics,
-    ) -> Prediction {
         let courier = &dataset.couriers[sample.query.courier_id];
         let g = self.build_graph(&dataset.city, courier, &sample.query);
-        self.predict_into(&mut self.inference_tape(numerics), &g)
+        self.predict_into(&mut Tape::inference(), &g)
     }
 }
 

@@ -14,7 +14,7 @@
 use m2g4rtp::{EncodedQuery, M2G4Rtp, Prediction};
 use rtp_graph::MultiLevelGraph;
 use rtp_sim::{City, Courier, RtpQuery};
-use rtp_tensor::{Numerics, Tape};
+use rtp_tensor::Tape;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -49,9 +49,6 @@ pub struct ServiceResponse {
 /// The in-process RTP inference service.
 pub struct RtpService {
     model: Arc<M2G4Rtp>,
-    /// Numerics tier every prediction of this lane runs under
-    /// (exact by default; fast/quantized are serve-time opt-ins).
-    numerics: Numerics,
     /// No-grad tape reused (cleared, not reallocated) across requests:
     /// after the first request the Inference Layer runs allocation-free
     /// out of the tape's buffer pool.
@@ -75,25 +72,8 @@ impl RtpService {
     /// # Panics
     /// Panics if the model has no pipeline.
     pub fn shared(model: Arc<M2G4Rtp>) -> Self {
-        Self::with_numerics(model, Numerics::Exact)
-    }
-
-    /// Like [`RtpService::shared`], but running the given numerics
-    /// tier: every prediction of this lane uses the corresponding
-    /// inference tape (fast-tier kernels, or the quantized parameter
-    /// snapshot the model caches on first use).
-    ///
-    /// # Panics
-    /// Panics if the model has no pipeline.
-    pub fn with_numerics(model: Arc<M2G4Rtp>, numerics: Numerics) -> Self {
         assert!(model.has_pipeline(), "service needs a trained model with a pipeline");
-        let tape = Mutex::new(model.inference_tape(numerics));
-        Self { model, numerics, tape }
-    }
-
-    /// The numerics tier this lane serves under.
-    pub fn numerics(&self) -> Numerics {
-        self.numerics
+        Self { model, tape: Mutex::new(Tape::inference()) }
     }
 
     /// The shared model handle (e.g. to build another per-worker
@@ -121,7 +101,7 @@ impl RtpService {
                     || "poisoned inference tape replaced with a fresh no-grad tape".to_string(),
                 );
                 let mut guard = poisoned.into_inner();
-                *guard = self.model.inference_tape(self.numerics);
+                *guard = Tape::inference();
                 guard
             }
         }

@@ -22,10 +22,7 @@
 //! * [`matmul_grad_b`] — `gB += Aᵀ @ G`, a blocked saxpy accumulation
 //!   that keeps a small panel of `gB` rows hot while streaming `G`.
 //!
-//! [`matmul_fast`] is the opt-in fast-tier forward (FMA contraction,
-//! see `crate::simd`); it is never called where gradients flow.
-//!
-//! **Determinism contract.** Every default kernel performs, for each
+//! **Determinism contract.** Every kernel performs, for each
 //! output element, *exactly* the same sequence of float operations as
 //! its `*_naive` reference (single left-to-right accumulator over the
 //! contraction index; same zero-skip conditions). Blocking, packing
@@ -268,30 +265,6 @@ fn panel_scalar(
         }
         out[i * ldc + jb..i * ldc + jb + NR].copy_from_slice(&acc);
         i += 1;
-    }
-}
-
-/// Fast-tier forward product `out = A @ B` (overwrite): FMA
-/// contraction and multi-accumulator dots via [`crate::simd`]. NOT
-/// bit-identical to [`matmul_naive`] — rounding differs (typically it
-/// is *more* accurate) — so this is only reachable through the opt-in
-/// `Numerics::Fast`/`Numerics::Quantized` inference tiers, never where
-/// gradients flow. Falls back to the exact blocked kernel when the CPU
-/// lacks AVX2+FMA, so the fast tier is exact-by-fallback there.
-pub fn matmul_fast(a: &[f32], b: &[f32], out: &mut [f32], r: usize, k: usize, c: usize) {
-    debug_assert_eq!(a.len(), r * k);
-    debug_assert_eq!(b.len(), k * c);
-    debug_assert_eq!(out.len(), r * c);
-    rtp_obs::counter!("tensor.matmul.fwd_fast").inc();
-    if r == 0 || c == 0 {
-        return;
-    }
-    if k == 0 {
-        out.iter_mut().for_each(|o| *o = 0.0);
-        return;
-    }
-    if !simd::matmul_fast(a, b, out, r, k, c) {
-        matmul(a, b, out, r, k, c);
     }
 }
 

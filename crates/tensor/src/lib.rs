@@ -59,8 +59,7 @@ pub mod parallel;
 pub mod simd;
 
 pub use params::{GradBuffer, GradSink, ParamId, ParamStore};
-pub use simd::{QuantSet, QuantizedMatrix};
-pub use tape::{Numerics, Tape, TensorId};
+pub use tape::{Tape, TensorId};
 
 /// Numerically compares two f32 slices within a tolerance; used widely by
 /// this workspace's tests.

@@ -34,64 +34,8 @@
 //! copy is never served: a changed stamp empties the map and the next
 //! `clear()` pools the orphaned copies.
 
-use std::sync::Arc;
-
 use crate::kernels;
 use crate::params::{ParamId, ParamStore};
-use crate::simd::{self, QuantSet};
-
-/// Numerics tier of a tape (see DESIGN.md "Numerics policy").
-///
-/// * `Exact` — the default everywhere: every kernel is bit-identical
-///   to its naive reference, so training is deterministic across
-///   thread counts and twin servers byte-match. Gradients only ever
-///   flow on exact tapes ([`Tape::new`] is always exact).
-/// * `Fast` — opt-in inference-only forward kernels with FMA
-///   contraction and multi-accumulator reductions; same math, freer
-///   rounding.
-/// * `Quantized` — `Fast`, plus matmuls whose RHS is a model parameter
-///   with a quantized snapshot run as i8×i8→i32 dots
-///   ([`crate::simd::matmul_q8`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Numerics {
-    /// Bit-exact tier (default; the only tier gradients may use).
-    #[default]
-    Exact,
-    /// FMA/multi-accumulator f32 forward kernels (inference only).
-    Fast,
-    /// i8-quantized param matmuls over the fast tier (inference only).
-    Quantized,
-}
-
-impl Numerics {
-    /// Canonical lowercase name, as used by `--numerics` flags and
-    /// reply tags.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Numerics::Exact => "exact",
-            Numerics::Fast => "fast",
-            Numerics::Quantized => "quantized",
-        }
-    }
-}
-
-impl std::fmt::Display for Numerics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for Numerics {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "exact" => Ok(Numerics::Exact),
-            "fast" => Ok(Numerics::Fast),
-            "quantized" => Ok(Numerics::Quantized),
-            other => Err(format!("unknown numerics tier `{other}` (exact|fast|quantized)")),
-        }
-    }
-}
 
 /// Handle to a tensor on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -166,10 +110,6 @@ pub struct Tape {
     grad_enabled: bool,
     pool_hits: u64,
     pool_misses: u64,
-    /// Numerics tier (always [`Numerics::Exact`] on grad tapes).
-    numerics: Numerics,
-    /// Quantized parameter snapshots for [`Numerics::Quantized`].
-    quant: Option<Arc<QuantSet>>,
     /// Buffer of each parameter's first lease, indexed by `ParamId`
     /// (see [`Tape::param`]).
     leases: Vec<Option<u32>>,
@@ -196,8 +136,6 @@ impl Tape {
             grad_enabled,
             pool_hits: 0,
             pool_misses: 0,
-            numerics: Numerics::Exact,
-            quant: None,
             leases: Vec::new(),
             lease_order: Vec::new(),
             lease_stamp: 0,
@@ -215,32 +153,6 @@ impl Tape {
     /// [`Tape::grad`] panic on such a tape.
     pub fn inference() -> Self {
         Self::with_grad(false)
-    }
-
-    /// Creates a no-grad tape running the given numerics tier. Only
-    /// inference tapes can leave the exact tier: [`Tape::new`] is
-    /// always exact, so gradients structurally never see fast or
-    /// quantized kernels.
-    pub fn inference_with(numerics: Numerics) -> Self {
-        let mut t = Self::with_grad(false);
-        t.numerics = numerics;
-        t
-    }
-
-    /// The tape's numerics tier.
-    pub fn numerics(&self) -> Numerics {
-        self.numerics
-    }
-
-    /// Attaches quantized parameter snapshots; matmuls whose RHS is a
-    /// parameter present in `quant` (with matching shape) will run the
-    /// i8 path when the tape's tier is [`Numerics::Quantized`].
-    ///
-    /// # Panics
-    /// Panics on a grad tape — quantization is inference-only.
-    pub fn attach_quant(&mut self, quant: Arc<QuantSet>) {
-        assert!(!self.grad_enabled, "quantized numerics on a grad tape");
-        self.quant = Some(quant);
     }
 
     /// Creates an empty tape with room for `cap` nodes (hot loops).
@@ -349,9 +261,7 @@ impl Tape {
     }
 
     /// Appends a node that references an existing buffer (zero-copy
-    /// views). In no-grad mode ops are dropped in favour of `Leaf` —
-    /// except `Op::Param`, which is payload-free and lets the
-    /// quantized tier recognise parameter operands ([`Tape::matmul`]).
+    /// views). In no-grad mode ops are dropped in favour of `Leaf`.
     fn push_view(&mut self, rows: usize, cols: usize, buf: u32, op: Op) -> TensorId {
         let id = TensorId(self.nodes.len() as u32);
         if self.grad_enabled {
@@ -359,11 +269,7 @@ impl Tape {
             self.grads.push(grad);
             self.nodes.push(Node { rows, cols, buf, op });
         } else {
-            let op = match op {
-                Op::Param(pid) => Op::Param(pid),
-                _ => Op::Leaf,
-            };
-            self.nodes.push(Node { rows, cols, buf, op });
+            self.nodes.push(Node { rows, cols, buf, op: Op::Leaf });
         }
         id
     }
@@ -452,36 +358,13 @@ impl Tape {
     // ---------------------------------------------------------------
 
     /// Matrix product `a @ b`: `[r,k] x [k,c] -> [r,c]`, via the
-    /// cache-blocked kernel in [`crate::kernels`] — or, on non-exact
-    /// inference tapes, the fast-tier FMA kernel / the i8 quantized
-    /// kernel when `b` is a parameter with a quantized snapshot.
+    /// cache-blocked kernel in [`crate::kernels`].
     pub fn matmul(&mut self, a: TensorId, b: TensorId) -> TensorId {
         let (ar, ak) = self.shape(a);
         let (bk, bc) = self.shape(b);
         assert_eq!(ak, bk, "matmul inner dim mismatch: [{ar},{ak}] x [{bk},{bc}]");
         let mut out = self.alloc_filled(ar * bc, 0.0);
-        match self.numerics {
-            Numerics::Exact => {
-                kernels::matmul(self.data(a), self.data(b), &mut out, ar, ak, bc);
-            }
-            Numerics::Fast => {
-                kernels::matmul_fast(self.data(a), self.data(b), &mut out, ar, ak, bc);
-            }
-            Numerics::Quantized => {
-                let qm = match self.nodes[b.idx()].op {
-                    Op::Param(pid) => self
-                        .quant
-                        .as_ref()
-                        .and_then(|qs| qs.get(pid))
-                        .filter(|qm| qm.k == ak && qm.c == bc),
-                    _ => None,
-                };
-                match qm {
-                    Some(qm) => simd::matmul_q8(self.data(a), qm, &mut out, ar, ak, bc),
-                    None => kernels::matmul_fast(self.data(a), self.data(b), &mut out, ar, ak, bc),
-                }
-            }
-        }
+        kernels::matmul(self.data(a), self.data(b), &mut out, ar, ak, bc);
         self.push(ar, bc, out, Op::Matmul(a, b))
     }
 
@@ -1918,26 +1801,6 @@ mod tests {
             t.backward(l, &mut store);
         }
         assert_eq!(t.bufs.len(), 6, "two resident leases plus the last pass's four op buffers");
-    }
-
-    #[test]
-    fn quantized_matmul_recognises_a_repeat_lease() {
-        let (k, c) = (simd::QUANT_MIN_K, simd::QUANT_MIN_C);
-        let mut store = ParamStore::new(3);
-        let w = store.add_xavier("w", k, c);
-        let quant = Arc::new(QuantSet::build(&store));
-        let x: Vec<f32> = (0..k).map(|i| (i as f32 * 0.37).sin()).collect();
-        let mut t = Tape::inference_with(Numerics::Quantized);
-        t.attach_quant(Arc::clone(&quant));
-        let xv = t.constant(1, k, x.clone());
-        let _first = t.param(&store, w);
-        let again = t.param(&store, w);
-        let y = t.matmul(xv, again);
-        let mut want = vec![0.0f32; c];
-        simd::matmul_q8(&x, quant.get(w).expect("eligible"), &mut want, 1, k, c);
-        let got: Vec<u32> = t.data(y).iter().map(|v| v.to_bits()).collect();
-        let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got, want, "a repeat lease must still run the i8 kernel");
     }
 
     #[test]
